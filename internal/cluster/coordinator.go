@@ -561,12 +561,12 @@ func (c *Coordinator) assign(j *service.Job, ws *workerState) {
 	ws.inflight[j.ID()] = true
 	c.mu.Unlock()
 	c.mAssigned.Add(1)
-	c.srv.BeginRemote(j, ws.name+"/"+ws.id)
+	c.srv.Begin(j, ws.name+"/"+ws.id)
 	c.logEvent("assign", j, ws.id)
 }
 
 // assignHedge installs a speculative second lease for a job that is
-// already running on its primary worker. No BeginRemote: the job's
+// already running on its primary worker. No Begin: the job's
 // service-side lifecycle is owned by the primary; the hedge exists
 // only in the coordinator's lease table, and first-result-wins makes
 // whichever copy finishes first the real one. Declines (returning
@@ -637,7 +637,9 @@ func (c *Coordinator) heartbeat(ws *workerState, jobs []string) (cancelled []str
 	return cancelled
 }
 
-// events folds a worker's progress batch into the job's feed.
+// events folds a worker's progress batch into the job (the same Sink
+// methods an in-process run streams into, so the trace gains its
+// measure-start mark either way).
 // Progress is accepted only from the current primary lease holder (a
 // hedge's progress would double-count); batches dedup on their
 // sequence number, so a duplicate-delivered batch folds once, and
@@ -658,15 +660,14 @@ func (c *Coordinator) events(jobID string, batch EventBatch) {
 		}
 		l.lastSeq = batch.Seq
 	}
-	feed := l.job.Feed()
 	if batch.Instructions > l.lastInstr {
-		feed.Add(batch.Instructions - l.lastInstr)
+		l.job.Add(batch.Instructions - l.lastInstr)
 		l.lastInstr = batch.Instructions
 	}
 	accepted := c.jobAcc[jobID]
 	for i, smp := range batch.Samples {
 		if l.samplesSeen+i >= accepted {
-			feed.OnSample(smp)
+			l.job.OnSample(smp)
 			c.jobAcc[jobID] = l.samplesSeen + i + 1
 		}
 	}
@@ -755,7 +756,7 @@ func (c *Coordinator) finish(j *service.Job, up ResultUpload) ResultResponse {
 			return ResultResponse{}
 		}
 		c.logEvent("fail", j, up.WorkerID)
-		if !c.srv.FailRemote(j, up.Error) {
+		if !c.srv.Fail(j, up.Error, up.Cancelled) {
 			c.mDupedUp.Add(1)
 			return ResultResponse{Duplicate: true}
 		}
@@ -765,7 +766,7 @@ func (c *Coordinator) finish(j *service.Job, up ResultUpload) ResultResponse {
 	// Results are honored from anyone — they are deterministic,
 	// verified, and content-addressed, so a late upload from an expired
 	// lease saves the requeued copy from re-simulating.
-	if !c.srv.CompleteRemote(j, *up.Result) {
+	if !c.srv.Complete(j, *up.Result) {
 		c.releaseUploader(j, up.WorkerID, holder, hedgeHolder)
 		c.mDupedUp.Add(1)
 		return ResultResponse{Duplicate: true}

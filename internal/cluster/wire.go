@@ -103,6 +103,10 @@ type ResultUpload struct {
 	WorkerID string             `json:"worker_id"`
 	Result   *service.JobResult `json:"result,omitempty"`
 	Error    string             `json:"error,omitempty"`
+	// Cancelled is the watchdog's reason when it aborted the run
+	// (service.CancelReason); the coordinator records it on the job's
+	// run span, as a local run would.
+	Cancelled string `json:"cancelled,omitempty"`
 	// Fingerprint is the worker's machine-config fingerprint; the
 	// coordinator rejects results produced under a different
 	// configuration than the store is keyed under.

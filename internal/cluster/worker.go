@@ -20,7 +20,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -366,20 +365,17 @@ func (w *Worker) execute(ctx context.Context, a PollResponse) {
 		gate(a.Key)
 	}
 
-	var env service.JobResult
-	var execErr string
-	switch a.Spec.Kind {
-	case service.KindFigure:
-		env = w.runFigure(ctx, a)
-	default:
-		env, execErr = w.runSingle(ctx, a)
-	}
+	poster := &eventPoster{w: w, jobID: a.JobID, stop: make(chan struct{}), done: make(chan struct{})}
+	go poster.run(ctx)
+	env, err := service.Execute(a.Spec, a.Key, w.pool, w.cfg.Deadline, w.cfg.Stall, poster)
+	close(poster.stop)
+	<-poster.done
 	if w.killed.Load() {
 		return
 	}
 	up := ResultUpload{WorkerID: w.workerID()}
-	if execErr != "" {
-		up.Error = execErr
+	if err != nil {
+		up.Error, up.Cancelled = err.Error(), service.CancelReason(err)
 	} else {
 		up.Result = &env
 		up.Fingerprint = w.fp
@@ -424,10 +420,10 @@ func (w *Worker) upload(ctx context.Context, jobID string, up ResultUpload) {
 	w.logf("upload for %s abandoned after retries (lease expiry will requeue it)", jobID)
 }
 
-// eventPoster batches progress and samples to the coordinator on a
-// ticker, off the simulation's hot path: the sim feeds an atomic
-// counter and an in-memory sample buffer, and a flusher goroutine
-// does the HTTP.
+// eventPoster is the remote service.Sink: it batches progress and
+// samples to the coordinator on a ticker, off the simulation's hot
+// path. The sim feeds an atomic counter and an in-memory sample
+// buffer, and a flusher goroutine does the HTTP.
 type eventPoster struct {
 	w      *Worker
 	jobID  string
@@ -479,88 +475,6 @@ func (p *eventPoster) run(ctx context.Context) {
 			p.flush(ctx)
 		}
 	}
-}
-
-func (w *Worker) newPoster(jobID string) *eventPoster {
-	return &eventPoster{w: w, jobID: jobID, stop: make(chan struct{}), done: make(chan struct{})}
-}
-
-// runSingle executes one RunSpec, mirroring the service's local path
-// (same Guarded watchdog wrapper, same sampler wiring, same envelope
-// construction) so the uploaded result re-encodes byte-identically to
-// a single-node run.
-func (w *Worker) runSingle(ctx context.Context, a PollResponse) (service.JobResult, string) {
-	spec := *a.Spec.Run
-	poster := w.newPoster(a.JobID)
-	go poster.run(ctx)
-	var hooks *telemetry.Hooks
-	mkHooks := func() *telemetry.Hooks {
-		h := &telemetry.Hooks{Progress: poster}
-		if spec.SampleEvery > 0 {
-			sam := telemetry.NewSampler(spec.SampleEvery)
-			sam.Stream(poster.OnSample)
-			h.Sampler = sam
-		}
-		hooks = h
-		return h
-	}
-	fut := experiments.Go(w.pool, func() sim.Result {
-		return experiments.Guarded(a.Key, w.cfg.Deadline, w.cfg.Stall, mkHooks, func(h *telemetry.Hooks) sim.Result {
-			res, err := spec.Run(h)
-			if err != nil {
-				panic(err)
-			}
-			return res
-		})
-	})
-	res, rerr := fut.Result()
-	close(poster.stop)
-	<-poster.done
-	if rerr != nil {
-		return service.JobResult{}, rerr.Error()
-	}
-	var samples []byte
-	if hooks != nil && hooks.Sampler != nil {
-		var buf bytes.Buffer
-		if err := hooks.Sampler.WriteJSONL(&buf); err == nil {
-			samples = buf.Bytes()
-		}
-	}
-	return service.JobResult{Kind: service.KindSingle, Result: &res, SamplesJSONL: string(samples)}, ""
-}
-
-// runFigure executes one registry experiment on the worker's pool. A
-// failed table still uploads as a result — the coordinator completes
-// the job without storing it, same as the local path.
-func (w *Worker) runFigure(ctx context.Context, a PollResponse) service.JobResult {
-	e, _ := experiments.ByID(a.Spec.Figure)
-	p := a.Spec.Scale.Params()
-	p.Deadline, p.StallTimeout = w.cfg.Deadline, w.cfg.Stall
-	runner := experiments.NewRunnerPool(p, w.pool)
-	poster := w.newPoster(a.JobID)
-	go poster.run(ctx)
-	progressStop := make(chan struct{})
-	go func() {
-		t := time.NewTicker(w.cfg.ProgressEvery)
-		defer t.Stop()
-		var last uint64
-		for {
-			select {
-			case <-progressStop:
-				return
-			case <-t.C:
-				if n := runner.SimulatedInstructions(); n > last {
-					poster.Add(n - last)
-					last = n
-				}
-			}
-		}
-	}()
-	table := experiments.RunOne(runner, e)
-	close(progressStop)
-	close(poster.stop)
-	<-poster.done
-	return service.JobResult{Kind: service.KindFigure, Table: table}
 }
 
 // ensureTraces fetches, by content hash, every corpus trace the spec

@@ -28,8 +28,8 @@ type Pool struct {
 // cannot race the workers reading it.
 func (p *Pool) SetProgress(prog *telemetry.PoolProgress) { p.prog.Store(prog) }
 
-// progress returns the attached tracker, or nil.
-func (p *Pool) progress() *telemetry.PoolProgress { return p.prog.Load() }
+// Progress returns the attached tracker, or nil.
+func (p *Pool) Progress() *telemetry.PoolProgress { return p.prog.Load() }
 
 // NewPool returns a pool running at most workers simulations at once.
 // workers < 1 is clamped to 1 (the sequential engine, -j 1).
@@ -93,7 +93,7 @@ func Go[T any](p *Pool, fn func() T) *Future[T] {
 		defer close(f.done)
 		p.sem <- struct{}{}
 		defer func() { <-p.sem }()
-		if prog := p.progress(); prog != nil {
+		if prog := p.Progress(); prog != nil {
 			prog.WorkerStart()
 			defer prog.WorkerDone()
 		}
@@ -183,7 +183,7 @@ func (r *Runner) tryRun(key string, attempt int, run func(*telemetry.Hooks) sim.
 func (r *Runner) record(res sim.Result) sim.Result {
 	r.runs.Add(1)
 	r.simInstr.Add(res.SimulatedInstructions)
-	if p := r.pool.progress(); p != nil {
+	if p := r.pool.Progress(); p != nil {
 		p.RunDone()
 	}
 	return res
@@ -198,7 +198,7 @@ func (r *Runner) newHooks() *telemetry.Hooks {
 	if r.P.SampleEvery > 0 {
 		h.Sampler = telemetry.NewSampler(r.P.SampleEvery)
 	}
-	if prog := r.pool.progress(); prog != nil {
+	if prog := r.pool.Progress(); prog != nil {
 		h.Progress = prog
 	}
 	if h.Sampler == nil && h.Progress == nil {
@@ -376,7 +376,7 @@ func RunAll(r *Runner, es []Experiment) []*Table {
 		go func(i int, e Experiment) {
 			defer wg.Done()
 			tables[i] = RunOne(r, e)
-			if p := r.pool.progress(); p != nil {
+			if p := r.pool.Progress(); p != nil {
 				p.UnitDone()
 			}
 		}(i, e)

@@ -50,8 +50,12 @@ func bucketUpper(i int) uint64 {
 // Observe and Snapshot. Values are raw uint64 units (the service
 // records nanoseconds); Scale converts them at export time (1e-9 for
 // nanoseconds rendered as Prometheus seconds).
+//
+// There is no separate count cell: Count is the bucket sum, so a
+// snapshot taken mid-Observe can never report more observations than
+// its buckets hold (nor a Prometheus +Inf bucket below the last finite
+// cumulative bucket).
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
 }
@@ -60,7 +64,6 @@ type Histogram struct {
 func (h *Histogram) Observe(v uint64) {
 	h.buckets[bucketOf(v)].Add(1)
 	h.sum.Add(v)
-	h.count.Add(1)
 }
 
 // ObserveDuration records a duration in nanoseconds (negative
@@ -73,12 +76,18 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // HistSnapshot is a point-in-time copy of a histogram. Snapshots of
 // concurrently-observed histograms are internally consistent enough
-// for monitoring (each bucket count is an atomic load); a quiescent
-// histogram snapshots exactly.
+// for monitoring (each bucket count is an atomic load, and Count is
+// their sum); a quiescent histogram snapshots exactly.
 type HistSnapshot struct {
 	Count   uint64
 	Sum     uint64
@@ -90,11 +99,9 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
-	// Load count and sum after the buckets: a concurrent Observe
-	// increments buckets first, so Count never exceeds the bucket total.
 	s.Sum = h.sum.Load()
-	s.Count = h.count.Load()
 	return s
 }
 

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -179,10 +182,10 @@ func TestConcurrentObserveScrape(t *testing.T) {
 			for _, c := range s.Buckets {
 				total += c
 			}
-			// Count is loaded after the buckets, so it can never exceed
-			// the bucket total even mid-update.
-			if s.Count > total {
-				t.Errorf("snapshot count %d exceeds bucket total %d", s.Count, total)
+			// Count is the bucket sum, so it matches the buckets exactly
+			// even mid-update.
+			if s.Count != total {
+				t.Errorf("snapshot count %d differs from bucket total %d", s.Count, total)
 				return
 			}
 			var sink discard
@@ -206,6 +209,70 @@ func TestConcurrentObserveScrape(t *testing.T) {
 	if got := h.Count(); got != writers*perG {
 		t.Fatalf("count %d after concurrent observes, want %d", got, writers*perG)
 	}
+}
+
+// TestConcurrentInfBucketMonotone scrapes the Prometheus exposition
+// while writers observe, and checks every render is a valid
+// cumulative histogram: the +Inf bucket is never below the last finite
+// cumulative bucket, and _count equals +Inf.
+func TestConcurrentInfBucketMonotone(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("test_latency_seconds", "test", 1e-9)
+	const (
+		writers = 4
+		perG    = 20000
+	)
+	stop := make(chan struct{})
+	scraperDone := make(chan struct{})
+	go func() {
+		defer close(scraperDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var buf bytes.Buffer
+			r.WritePrometheus(&buf)
+			var lastFinite, inf, count uint64
+			for _, line := range strings.Split(buf.String(), "\n") {
+				fields := strings.Fields(line)
+				if len(fields) != 2 {
+					continue
+				}
+				v, err := strconv.ParseUint(fields[1], 10, 64)
+				if err != nil {
+					continue
+				}
+				switch {
+				case strings.HasPrefix(fields[0], `test_latency_seconds_bucket{le="+Inf"}`):
+					inf = v
+				case strings.HasPrefix(fields[0], "test_latency_seconds_bucket"):
+					lastFinite = v
+				case fields[0] == "test_latency_seconds_count":
+					count = v
+				}
+			}
+			if inf < lastFinite || count != inf {
+				t.Errorf("torn exposition: last finite bucket %d, +Inf %d, count %d", lastFinite, inf, count)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < perG; i++ {
+				h.Observe(uint64(rng.Int63n(1 << 30)))
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-scraperDone
 }
 
 type discard struct{}

@@ -78,7 +78,8 @@ type Config struct {
 	// RemoteExec disables the local worker goroutines: admitted jobs
 	// wait in the queue for an external dispatcher (the cluster
 	// coordinator, internal/cluster) to Take them and drive them
-	// through BeginRemote/CompleteRemote/FailRemote/Requeue.
+	// through Begin/Complete/Fail/Requeue, the calls the local workers
+	// make themselves.
 	// Admission, dedup, persistence, and the HTTP API are unchanged.
 	RemoteExec bool
 }
@@ -408,20 +409,9 @@ func (s *Server) Submit(spec JobSpec) (*Job, Disposition, error) {
 // jobFromStore materializes a done job from the warm result store.
 // Called with s.mu held.
 func (s *Server) jobFromStore(key string, spec JobSpec) (*Job, bool) {
-	var payload []byte
-	switch spec.Kind {
-	case KindFigure:
-		blob, ok := s.store.GetBlob(key)
-		if !ok {
-			return nil, false
-		}
-		payload = blob
-	default:
-		res, samples, ok := s.store.Get(key)
-		if !ok {
-			return nil, false
-		}
-		payload = marshalEnvelope(JobResult{Kind: KindSingle, Result: &res, SamplesJSONL: string(samples)})
+	payload, ok := storedPayload(s.store, spec.Kind, key)
+	if !ok {
+		return nil, false
 	}
 	s.seq++
 	j := &Job{
@@ -436,6 +426,20 @@ func (s *Server) jobFromStore(key string, spec JobSpec) (*Job, bool) {
 	}
 	j.feed.Finish()
 	return j, true
+}
+
+// storedPayload reads a key's served envelope from the result store:
+// figure tables are stored as the envelope itself, single results are
+// re-wrapped with their sampled series.
+func storedPayload(store *experiments.Checkpoint, kind, key string) ([]byte, bool) {
+	if kind == KindFigure {
+		return store.GetBlob(key)
+	}
+	res, samples, ok := store.Get(key)
+	if !ok {
+		return nil, false
+	}
+	return marshalEnvelope(JobResult{Kind: KindSingle, Result: &res, SamplesJSONL: string(samples)}), true
 }
 
 // marshalEnvelope encodes a result envelope; the payload is plain
@@ -475,11 +479,7 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 		Failed:   j.failedTable,
 		Trace:    j.TraceID(),
 	}
-	if j.runner != nil {
-		st.Instructions = j.runner.SimulatedInstructions()
-	} else {
-		st.Instructions = j.feed.Instructions()
-	}
+	st.Instructions = j.feed.Instructions()
 	return st
 }
 
@@ -509,135 +509,27 @@ func (s *Server) Result(j *Job) ([]byte, bool) {
 	return j.result, true
 }
 
-// worker executes jobs until the queue closes (drain).
+// worker is the in-process executor: it drives queued jobs through
+// the same Take/Begin/Complete/Fail surface a cluster coordinator uses,
+// until the queue closes (drain).
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		j := s.q.pop()
+		j := s.Take()
 		if j == nil {
 			return
 		}
-		s.runJob(j)
-	}
-}
-
-func (s *Server) setState(j *Job, st State) {
-	s.mu.Lock()
-	j.state = st
-	s.mu.Unlock()
-}
-
-func (s *Server) runJob(j *Job) {
-	s.setState(j, StateRunning)
-	s.mRunning.Add(1)
-	defer s.mRunning.Add(-1)
-	s.obs.gInflightHWM.SetMax(s.mRunning.Value())
-	j.queueSpan.End()
-	if j.admittedNS > 0 {
-		s.obs.hQueueWait.Observe(uint64(time.Now().UnixNano() - j.admittedNS))
-	}
-	if gate := s.cfg.Gate; gate != nil {
-		gate(j.key)
-	}
-	var runSpan obs.SpanRef
-	if j.trace != nil {
-		runSpan = j.trace.Start("run")
-		runSpan.Annotate("kind", j.spec.Kind)
-	}
-	switch j.spec.Kind {
-	case KindFigure:
-		s.runFigure(j, runSpan)
-	default:
-		s.runSingle(j, runSpan)
-	}
-}
-
-// runSingle executes one RunSpec on the shared pool under the
-// configured watchdog, streams progress and samples to the job's
-// feed, and persists the result in the content-addressed store. The
-// run span records the warmup→measure boundary (the sampler's first
-// streamed sample, which the simulator emits only inside the
-// measurement window) and any watchdog cancellation.
-func (s *Server) runSingle(j *Job, runSpan obs.SpanRef) {
-	spec := *j.spec.Run
-	var hooks *telemetry.Hooks
-	mkHooks := func() *telemetry.Hooks {
-		h := &telemetry.Hooks{Progress: telemetry.Tee(j.feed, s.prog)}
-		if spec.SampleEvery > 0 {
-			sam := telemetry.NewSampler(spec.SampleEvery)
-			if tr := j.trace; tr != nil {
-				var measured sync.Once
-				sam.Stream(func(smp telemetry.Sample) {
-					measured.Do(func() { tr.Mark("measure-start", nil) })
-					j.feed.OnSample(smp)
-				})
-			} else {
-				sam.Stream(j.feed.OnSample)
-			}
-			h.Sampler = sam
+		s.Begin(j, "local")
+		if gate := s.cfg.Gate; gate != nil {
+			gate(j.key)
 		}
-		if s.cfg.Deadline > 0 || s.cfg.Stall > 0 {
-			// Pre-attach the watch (Guarded reuses it) so a watchdog
-			// abort lands on the run span with its reason.
-			w := telemetry.NewRunWatch()
-			w.NotifyCancel(func(reason string) { runSpan.Annotate("cancelled", reason) })
-			h.Watch = w
-		}
-		hooks = h
-		return h
-	}
-	runStart := time.Now()
-	fut := experiments.Go(s.pool, func() sim.Result {
-		return experiments.Guarded(j.key, s.cfg.Deadline, s.cfg.Stall, mkHooks, func(h *telemetry.Hooks) sim.Result {
-			res, err := spec.Run(h)
-			if err != nil {
-				panic(err)
-			}
-			s.prog.RunDone()
-			return res
-		})
-	})
-	res, rerr := fut.Result()
-	s.obs.hRun.Observe(uint64(time.Since(runStart)))
-	runSpan.End()
-	if rerr != nil {
-		s.fail(j, rerr.Error())
-		return
-	}
-	var samples []byte
-	if hooks != nil && hooks.Sampler != nil {
-		var buf bytes.Buffer
-		if err := hooks.Sampler.WriteJSONL(&buf); err == nil {
-			samples = buf.Bytes()
+		env, err := Execute(j.spec, j.key, s.pool, s.cfg.Deadline, s.cfg.Stall, j)
+		if err != nil {
+			s.Fail(j, err.Error(), CancelReason(err))
+		} else {
+			s.Complete(j, env)
 		}
 	}
-	s.persistTraced(j, pendingResult{key: j.key, res: res, samples: samples})
-	s.complete(j, marshalEnvelope(JobResult{Kind: KindSingle, Result: &res, SamplesJSONL: string(samples)}), false)
-}
-
-// runFigure executes one registry experiment with a fresh Runner on
-// the shared pool. A failed table (error rows) completes the job but
-// is never stored: a transient failure must not be served forever.
-func (s *Server) runFigure(j *Job, runSpan obs.SpanRef) {
-	e, _ := experiments.ByID(j.spec.Figure)
-	p := j.spec.Scale.params()
-	p.Deadline, p.StallTimeout = s.cfg.Deadline, s.cfg.Stall
-	runner := experiments.NewRunnerPool(p, s.pool)
-	s.mu.Lock()
-	j.runner = runner
-	s.mu.Unlock()
-	runStart := time.Now()
-	table := experiments.RunOne(runner, e)
-	s.obs.hRun.Observe(uint64(time.Since(runStart)))
-	if table.Failed {
-		runSpan.Annotate("failed_table", "true")
-	}
-	runSpan.End()
-	payload := marshalEnvelope(JobResult{Kind: KindFigure, Table: table})
-	if !table.Failed {
-		s.persistTraced(j, pendingResult{key: j.key, isBlob: true, blob: payload})
-	}
-	s.complete(j, payload, table.Failed)
 }
 
 // persistTraced wraps persist in the job's store-put span and latency
@@ -794,21 +686,6 @@ func (s *Server) complete(j *Job, payload []byte, failedTable bool) {
 	}
 	if j.trace != nil {
 		j.trace.Mark("done", nil)
-	}
-}
-
-func (s *Server) fail(j *Job, msg string) {
-	s.mu.Lock()
-	j.state = StateFailed
-	j.errMsg = msg
-	s.mu.Unlock()
-	j.feed.Finish()
-	s.mFailed.Add(1)
-	if j.admittedNS > 0 {
-		s.obs.hSubmitToResult.Observe(uint64(time.Now().UnixNano() - j.admittedNS))
-	}
-	if j.trace != nil {
-		j.trace.Mark("failed", map[string]string{"error": msg})
 	}
 }
 

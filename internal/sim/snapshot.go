@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime/debug"
 	"sync"
 	"unsafe"
 )
@@ -61,13 +62,26 @@ type WarmCache struct {
 // of a hundred warm states.
 const DefaultWarmCacheBytes = 2 << 30
 
-var processWarmCache = NewWarmCache(DefaultWarmCacheBytes)
+var processWarmCache = NewWarmCache(0)
+
+// warmBudget sizes the process-wide cache: DefaultWarmCacheBytes, or a
+// quarter of the runtime memory limit (GOMEMLIMIT or
+// debug.SetMemoryLimit) when that is smaller. It is read at every
+// store, so a limit set after startup (a test binary's TestMain) takes
+// effect; with no limit set it is DefaultWarmCacheBytes.
+func warmBudget() int64 {
+	if b := debug.SetMemoryLimit(-1) / 4; b < DefaultWarmCacheBytes {
+		return b
+	}
+	return DefaultWarmCacheBytes
+}
 
 // GlobalWarmCache returns the process-wide cache used by runs whose
 // Options name a WarmKey.
 func GlobalWarmCache() *WarmCache { return processWarmCache }
 
-// NewWarmCache returns an empty cache bounded to roughly budget bytes.
+// NewWarmCache returns an empty cache bounded to roughly budget bytes;
+// a budget <= 0 follows the runtime memory limit (warmBudget).
 func NewWarmCache(budget int64) *WarmCache {
 	return &WarmCache{budget: budget, snaps: make(map[string]*warmSnapshot)}
 }
@@ -113,10 +127,14 @@ func (wc *WarmCache) put(key string, s *warmSnapshot) {
 		wc.touch(key)
 		return
 	}
-	if s.bytes > wc.budget {
+	budget := wc.budget
+	if budget <= 0 {
+		budget = warmBudget()
+	}
+	if s.bytes > budget {
 		return // larger than the whole cache: not worth thrashing
 	}
-	for wc.used+s.bytes > wc.budget && len(wc.order) > 0 {
+	for wc.used+s.bytes > budget && len(wc.order) > 0 {
 		oldest := wc.order[0]
 		wc.order = wc.order[1:]
 		if ev := wc.snaps[oldest]; ev != nil {

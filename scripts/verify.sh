@@ -107,6 +107,7 @@ jobid=$("$smokedir/triagectl" -addr "$addr" submit -bench mcf -pf triage-1m \
 "$smokedir/triagectl" -addr "$addr" result -o "$smokedir/traced.json" "$jobid"
 "$smokedir/triagectl" -addr "$addr" trace "$jobid" >"$smokedir/trace.txt"
 grep -q 'admit' "$smokedir/trace.txt"
+grep -q 'measure-start' "$smokedir/trace.txt"
 grep -q 'result-served' "$smokedir/trace.txt"
 kill -TERM "$triaged_pid"
 wait "$triaged_pid" # graceful drain must exit 0
@@ -223,6 +224,20 @@ cmp "$smokedir/solo/fig06.txt" "$smokedir/clus/fig06.txt"
 # The kill was observed: the dead worker's lease lapsed and its figure
 # was requeued onto the survivor.
 "$smokedir/triagectl" -addr "$addr" status | grep -q 'requeued: [1-9]'
+# One executor: a sampled single job run on the surviving worker is
+# byte-identical to the direct run, its trace matches a local run's
+# (measure-start included) and names the worker that executed it, and
+# the coordinator's run histogram counts remote runs.
+jobid=$("$smokedir/triagectl" -addr "$addr" submit -bench mcf -pf triage-1m \
+    -warmup 100000 -measure 200000 -sample 50000)
+"$smokedir/triagectl" -addr "$addr" wait "$jobid" >/dev/null
+"$smokedir/triagectl" -addr "$addr" result -o "$smokedir/clus-single.json" "$jobid"
+cmp "$smokedir/direct.json" "$smokedir/clus-single.json"
+"$smokedir/triagectl" -addr "$addr" trace "$jobid" >"$smokedir/clus-trace.txt"
+grep -q 'measure-start' "$smokedir/clus-trace.txt"
+grep -q 'smoke-a' "$smokedir/clus-trace.txt"
+"$smokedir/triagectl" -addr "$addr" metrics -prom >"$smokedir/clus-metrics.prom"
+grep -q '^triaged_run_seconds_count [1-9]' "$smokedir/clus-metrics.prom"
 # Capacity harness against the live cluster: the wall clock drives the
 # coordinator over HTTP, jobs execute on the surviving worker, and the
 # observability validation (traces + Prometheus) must hold end to end.
