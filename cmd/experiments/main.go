@@ -216,19 +216,8 @@ func runBench(path string, p experiments.Params, pool *experiments.Pool, selecte
 		instr := runner.SimulatedInstructions()
 		totalInstr += instr
 		totalRuns += runner.Runs()
-		report.Experiments = append(report.Experiments, benchfile.Experiment{
-			Experiment:       e.ID,
-			WallSeconds:      wall,
-			Simulations:      runner.Runs(),
-			SimInstructions:  instr,
-			SimInstrPerSec:   float64(instr) / wall,
-			Workers:          pool.Workers(),
-			WarmupInstr:      p.Warmup,
-			MeasureInstr:     p.Measure,
-			MultiWarmupInstr: p.MultiWarmup,
-			MultiMeasure:     p.MultiMeasure,
-			Telemetry:        withTel,
-		})
+		report.Experiments = append(report.Experiments,
+			benchRow(e.ID, p, pool.Workers(), wall, runner.Runs(), instr, withTel))
 		if csvDir != "" {
 			if err := writeCSV(csvDir, e.ID, table); err != nil {
 				return err
@@ -237,18 +226,28 @@ func runBench(path string, p experiments.Params, pool *experiments.Pool, selecte
 		fmt.Printf("(%s took %.1fs, %.2fM sim-instr/s)\n\n", e.ID, wall, float64(instr)/wall/1e6)
 	}
 	totalWall := time.Since(benchStart).Seconds()
-	report.Experiments = append(report.Experiments, benchfile.Experiment{
-		Experiment:      "total",
-		WallSeconds:     totalWall,
-		Simulations:     totalRuns,
-		SimInstructions: totalInstr,
-		SimInstrPerSec:  float64(totalInstr) / totalWall,
-		Workers:         pool.Workers(),
-		WarmupInstr:     p.Warmup,
-		MeasureInstr:    p.Measure,
-		Telemetry:       withTel,
-	})
+	report.Experiments = append(report.Experiments,
+		benchRow("total", p, pool.Workers(), totalWall, totalRuns, totalInstr, withTel))
 	return report.Write(path)
+}
+
+// benchRow builds one experiment row of the bench report. The
+// per-experiment rows and the suite "total" row share it, so every row
+// records the same windows.
+func benchRow(id string, p experiments.Params, workers int, wall float64, runs, instr uint64, withTel bool) benchfile.Experiment {
+	return benchfile.Experiment{
+		Experiment:       id,
+		WallSeconds:      wall,
+		Simulations:      runs,
+		SimInstructions:  instr,
+		SimInstrPerSec:   float64(instr) / wall,
+		Workers:          workers,
+		WarmupInstr:      p.Warmup,
+		MeasureInstr:     p.Measure,
+		MultiWarmupInstr: p.MultiWarmup,
+		MultiMeasure:     p.MultiMeasure,
+		Telemetry:        withTel,
+	}
 }
 
 func writeCSV(dir, id string, t *experiments.Table) error {

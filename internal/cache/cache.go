@@ -10,11 +10,22 @@
 // residual latency — this models MSHR merging and late prefetches
 // without an event queue.
 //
-// Layout: line state is held in parallel flat arrays indexed set*ways+
-// way (struct-of-arrays). The residency scan — the single hottest loop
-// in the simulator — touches only the tag array, 8 bytes per way, with
-// invalid ways holding a sentinel tag so no separate valid check is
-// needed.
+// Layout: each set owns one contiguous block of 5*ways words: the
+// ways' tags, then their recency stamps, then one 3-word state record
+// per way (fill-ready tick, prefetch trigger PC, installing core and
+// flag bits). The residency scan — the single hottest loop in the
+// simulator — reads only the tag run. A way stores its line's tag plus
+// one, so a zero word marks an empty way: there is no separate valid
+// check, and a freshly allocated (zeroed) block is an empty cache that
+// New never has to touch. A hit or a fill then touches state a few
+// words away in the same block, usually in the same host page and
+// often in an adjacent host cache line. The stamps are the cache's own
+// LRU recency (0 marks an empty way), handed to the replacement policy
+// as its view of the set, so LRU itself keeps no per-way state.
+//
+// The results Access and Fill return (LookupResult, Eviction) have at
+// most 4 fields and 32 bytes so the compiler keeps them in registers;
+// see TestResultsStayInRegisters.
 package cache
 
 import (
@@ -24,42 +35,25 @@ import (
 	"repro/internal/replacement"
 )
 
-// Line holds the per-line state of one cache way (the assembled view;
-// storage is struct-of-arrays).
-type Line struct {
-	Tag   uint64
-	Valid bool
-	Dirty bool
-	// Prefetched is set when the line was installed by a prefetcher and
-	// has not yet been demanded.
-	Prefetched bool
-	// PrefetchPC is the trigger PC recorded at prefetch-fill time so the
-	// prefetcher can be credited/debited on use or eviction.
-	PrefetchPC uint64
-	// ReadyTick is when the fill completes (simulator ticks); a demand
-	// access before then pays the residual latency.
-	ReadyTick uint64
-	// Core is the id of the core that installed the line (multi-core
-	// stats and per-core partitioning).
-	Core int
-}
+// Words per way in a set's block: tag, stamp, and the 3-word state
+// record (recReady, recPfPC, recInfo).
+const (
+	wordsPerWay = 5
+	recWords    = 3
 
-// invalidTag marks an empty way in the tag array. Real tags are line
-// addresses shifted right by the set bits, far below 2^64-1.
-const invalidTag = ^uint64(0)
+	recReady = 0 // fill-completion tick
+	recPfPC  = 1 // trigger PC of a prefetch fill
+	recInfo  = 2 // installing core << infoCoreShift | flag bits
+)
 
-// wayState is the non-tag state of one way (24 bytes).
-type wayState struct {
-	ready uint64 // fill-completion tick
-	pfPC  uint64 // trigger PC of a prefetch fill
-	core  int32  // installing core
-	meta  uint8  // flagDirty | flagPrefetched
-}
+const infoCoreShift = 8
 
-// Per-way flag bits in the meta array.
+// Flag bits in a record's info word (and in Eviction/LookupResult).
 const (
 	flagDirty      = 1 << 0
 	flagPrefetched = 1 << 1
+	flagValid      = 1 << 2 // Eviction only: a line was displaced
+	flagLate       = 1 << 3 // LookupResult only: hit before the fill completed
 )
 
 // Stats aggregates cache-level event counts.
@@ -75,14 +69,22 @@ type Stats struct {
 	Evictions      uint64
 }
 
-// Eviction describes a line displaced by a fill or invalidation.
+// Eviction describes a line displaced by a fill or invalidation. The
+// zero value means nothing was displaced.
 type Eviction struct {
-	Line     mem.Line
-	Dirty    bool
-	Valid    bool // false when no line was displaced
-	Prefetch bool // line was an unused prefetch
-	Core     int
+	Line  mem.Line
+	Core  int32 // core that installed the line
+	flags uint8
 }
+
+// Valid reports whether a line was displaced.
+func (e Eviction) Valid() bool { return e.flags&flagValid != 0 }
+
+// Dirty reports whether the displaced line needs a writeback.
+func (e Eviction) Dirty() bool { return e.flags&flagDirty != 0 }
+
+// Prefetch reports whether the displaced line was an unused prefetch.
+func (e Eviction) Prefetch() bool { return e.flags&flagPrefetched != 0 }
 
 // Cache is one level of the hierarchy.
 type Cache struct {
@@ -94,25 +96,16 @@ type Cache struct {
 	setMask  uint64 // sets-1 (sets is a power of two)
 	tagShift uint   // log2(sets)
 
-	// Per-way state, indexed set*ways + way. Tags live alone so the
-	// residency scan touches 8 bytes per way; everything else is
-	// interleaved in one record so the hit/evict paths touch a single
-	// additional host cache line instead of four parallel arrays.
-	tags []uint64 // invalidTag when the way is empty
-	st   []wayState
+	// blk holds every set's block back to back (see the package
+	// comment); set s occupies blk[s*stride : (s+1)*stride].
+	blk    []uint64
+	stride int // wordsPerWay * ways
+	// clock advances on every hit and fill; a way's stamp is the clock
+	// value of its last touch, so stamps order a set's lines by recency.
+	clock uint64
 
 	policy replacement.Policy
 	stats  Stats
-	// live counts the valid lines per set. Steady-state sets are full,
-	// so Fill can hand the policy a constant all-valid view (allValid)
-	// instead of rebuilding one from the tag array on every victim
-	// selection.
-	live []uint16
-	// validScratch backs the per-fill valid-ways view handed to the
-	// policy when the set is not full; reused so Fill allocates
-	// nothing. allValid is permanently true.
-	validScratch []bool
-	allValid     []bool
 }
 
 // New returns a cache with the given geometry and replacement policy.
@@ -123,23 +116,13 @@ func New(name string, sets, ways int, policy replacement.Policy) *Cache {
 	if ways < 1 {
 		panic(fmt.Sprintf("cache %s: ways=%d", name, ways))
 	}
-	n := sets * ways
-	c := &Cache{
+	return &Cache{
 		name: name, sets: sets, ways: ways, dataWays: ways,
 		setMask: uint64(sets - 1), tagShift: mem.Log2(sets),
-		tags:         make([]uint64, n),
-		st:           make([]wayState, n),
-		live:         make([]uint16, sets),
-		policy:       policy,
-		validScratch: make([]bool, ways), allValid: make([]bool, ways),
+		blk:    make([]uint64, sets*ways*wordsPerWay),
+		stride: ways * wordsPerWay,
+		policy: policy,
 	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
-	for i := range c.allValid {
-		c.allValid[i] = true
-	}
-	return c
 }
 
 // Name returns the cache's name.
@@ -160,67 +143,44 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the statistics (used after warmup).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-func (c *Cache) set(l mem.Line) int    { return int(uint64(l) & c.setMask) }
-func (c *Cache) tag(l mem.Line) uint64 { return uint64(l) >> c.tagShift }
+func (c *Cache) set(l mem.Line) int { return int(uint64(l) & c.setMask) }
 
-// lineAt assembles the Line view of (s, w) (tests, invariants).
-func (c *Cache) lineAt(s, w int) Line {
-	i := s*c.ways + w
-	if c.tags[i] == invalidTag {
-		return Line{}
-	}
-	st := &c.st[i]
-	return Line{
-		Tag:        c.tags[i],
-		Valid:      true,
-		Dirty:      st.meta&flagDirty != 0,
-		Prefetched: st.meta&flagPrefetched != 0,
-		PrefetchPC: st.pfPC,
-		ReadyTick:  st.ready,
-		Core:       int(st.core),
-	}
+// tag returns l's stored tag: the line address above the set bits,
+// plus one so that it is never zero.
+func (c *Cache) tag(l mem.Line) uint64 { return uint64(l)>>c.tagShift + 1 }
+
+// block returns set s's words: tags at [0, ways), stamps at
+// [ways, 2*ways), and way w's state record at rec(w).
+func (c *Cache) block(s int) []uint64 {
+	base := s * c.stride
+	return c.blk[base : base+c.stride]
 }
 
-// putLine overwrites (s, w) with ln (tests only), recounting the
-// set's live lines.
-func (c *Cache) putLine(s, w int, ln Line) {
-	i := s*c.ways + w
-	defer c.recount(s)
-	if !ln.Valid {
-		c.tags[i] = invalidTag
-		c.st[i].meta = 0
-		return
-	}
-	c.tags[i] = ln.Tag
-	var m uint8
-	if ln.Dirty {
-		m |= flagDirty
-	}
-	if ln.Prefetched {
-		m |= flagPrefetched
-	}
-	c.st[i] = wayState{meta: m, pfPC: ln.PrefetchPC, ready: ln.ReadyTick, core: int32(ln.Core)}
+// rec returns the offset of way w's state record within its block.
+func (c *Cache) rec(w int) int { return 2*c.ways + recWords*w }
+
+// putLine installs a clean line with stored tag t (non-zero) at
+// (s, w), bypassing the replacement policy (tests only: invariant
+// violations are built with it). It becomes the set's most recently
+// used line.
+func (c *Cache) putLine(s, w int, t uint64) {
+	b := c.block(s)
+	c.clock++
+	b[w], b[c.ways+w] = t, c.clock
+	r := b[c.rec(w):]
+	r[recReady], r[recPfPC], r[recInfo] = 0, 0, 0
 }
 
-// recount recomputes live[s] from the tag array (test mutations only).
-func (c *Cache) recount(s int) {
-	base := s * c.ways
-	n := uint16(0)
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] != invalidTag {
-			n++
-		}
-	}
-	c.live[s] = n
+// info packs a record's core and flag bits.
+func info(core int, flags uint8) uint64 {
+	return uint64(uint32(int32(core)))<<infoCoreShift | uint64(flags)
 }
 
 // Probe reports whether l is resident without touching any state.
 func (c *Cache) Probe(l mem.Line) bool {
 	t := c.tag(l)
-	base := c.set(l) * c.ways
-	tags := c.tags[base : base+c.dataWays]
-	for w := range tags {
-		if tags[w] == t {
+	for _, tag := range c.block(c.set(l))[:c.dataWays] {
+		if tag == t {
 			return true
 		}
 	}
@@ -229,19 +189,23 @@ func (c *Cache) Probe(l mem.Line) bool {
 
 // LookupResult describes the outcome of a demand or prefetch lookup.
 type LookupResult struct {
-	Hit bool
 	// ReadyTick is the fill-completion tick of the hit line (0 if the
 	// line has long been resident).
 	ReadyTick uint64
-	// WasPrefetch is true if this demand was the first use of a
-	// prefetched line.
-	WasPrefetch bool
 	// PrefetchPC is the trigger PC recorded at prefetch time, valid
 	// when WasPrefetch.
 	PrefetchPC uint64
-	// Late is true if the hit line's fill had not completed at `now`.
-	Late bool
+	Hit        bool
+	flags      uint8
 }
+
+// WasPrefetch reports whether this demand was the first use of a
+// prefetched line.
+func (r LookupResult) WasPrefetch() bool { return r.flags&flagPrefetched != 0 }
+
+// Late reports whether the hit line's fill had not completed at the
+// access tick.
+func (r LookupResult) Late() bool { return r.flags&flagLate != 0 }
 
 // Access performs a demand access for line l at tick now. On a hit the
 // line is promoted (policy Hit) and prefetch provenance is consumed.
@@ -249,28 +213,30 @@ func (c *Cache) Access(l mem.Line, a replacement.Access, now uint64) LookupResul
 	c.stats.Accesses++
 	s := c.set(l)
 	t := c.tag(l)
-	base := s * c.ways
-	tags := c.tags[base : base+c.dataWays]
-	for w := range tags {
-		if tags[w] != t {
+	b := c.block(s)
+	for w, tag := range b[:c.dataWays] {
+		if tag != t {
 			continue
 		}
-		st := &c.st[base+w]
 		c.stats.Hits++
-		res := LookupResult{Hit: true, ReadyTick: st.ready}
-		if st.meta&flagPrefetched != 0 {
-			res.WasPrefetch = true
-			res.PrefetchPC = st.pfPC
-			st.meta &^= flagPrefetched
+		r := b[c.rec(w):]
+		res := LookupResult{Hit: true, ReadyTick: r[recReady]}
+		late := r[recReady] > now
+		if r[recInfo]&flagPrefetched != 0 {
+			res.flags = flagPrefetched
+			res.PrefetchPC = r[recPfPC]
+			r[recInfo] &^= flagPrefetched
 			c.stats.PrefetchUsed++
-			if st.ready > now {
-				res.Late = true
+			if late {
+				res.flags |= flagLate
 				c.stats.LatePrefetches++
 			}
 		}
-		if a.Prefetch && st.ready > now {
-			res.Late = true
+		if a.Prefetch && late {
+			res.flags |= flagLate
 		}
+		c.clock++
+		b[c.ways+w] = c.clock
 		c.policy.Hit(s, w, a)
 		return res
 	}
@@ -284,86 +250,73 @@ func (c *Cache) Access(l mem.Line, a replacement.Access, now uint64) LookupResul
 func (c *Cache) Fill(l mem.Line, a replacement.Access, dirty bool, readyTick uint64) Eviction {
 	s := c.set(l)
 	t := c.tag(l)
-	base := s * c.ways
+	b := c.block(s)
 	// Refill of an already-resident line (e.g. a prefetch racing a
 	// demand fill): just update state.
-	tags := c.tags[base : base+c.dataWays]
-	for w := range tags {
-		if tags[w] != t {
+	for w, tag := range b[:c.dataWays] {
+		if tag != t {
 			continue
 		}
-		st := &c.st[base+w]
+		r := b[c.rec(w):]
 		if dirty {
-			st.meta |= flagDirty
+			r[recInfo] |= flagDirty
 		}
-		if st.ready > readyTick {
-			st.ready = readyTick
+		if r[recReady] > readyTick {
+			r[recReady] = readyTick
 		}
 		return Eviction{}
 	}
-	valid := c.allValid[:c.dataWays]
-	if int(c.live[s]) != c.dataWays {
-		valid = c.validScratch[:c.dataWays]
-		for w := range tags {
-			valid[w] = tags[w] != invalidTag
-		}
-	}
-	w := c.policy.Victim(s, a, valid)
+	w := c.policy.Victim(s, a, b[c.ways:c.ways+c.dataWays])
 	if w < 0 || w >= c.dataWays {
 		panic(fmt.Sprintf("cache %s: policy %s returned way %d of %d", c.name, c.policy.Name(), w, c.dataWays))
 	}
 	ev := c.evict(s, w)
-	c.live[s]++
-	i := base + w
-	c.tags[i] = t
-	var m uint8
+	var flags uint8
 	if dirty {
-		m = flagDirty
+		flags = flagDirty
 	}
 	if a.Prefetch {
-		m |= flagPrefetched
+		flags |= flagPrefetched
 		c.stats.PrefetchFills++
 	}
-	c.st[i] = wayState{meta: m, pfPC: a.PC, ready: readyTick, core: int32(a.Core)}
+	c.clock++
+	b[w], b[c.ways+w] = t, c.clock
+	r := b[c.rec(w):]
+	r[recReady], r[recPfPC], r[recInfo] = readyTick, a.PC, info(a.Core, flags)
 	c.policy.Fill(s, w, a)
 	return ev
 }
 
 // evict clears (s, w) and returns what was there.
 func (c *Cache) evict(s, w int) Eviction {
-	i := s*c.ways + w
-	if c.tags[i] == invalidTag {
+	b := c.block(s)
+	if b[w] == 0 {
 		return Eviction{}
 	}
-	st := &c.st[i]
+	r := b[c.rec(w):]
 	ev := Eviction{
-		Line:     mem.Line(c.tags[i]<<c.tagShift | uint64(s)),
-		Dirty:    st.meta&flagDirty != 0,
-		Valid:    true,
-		Prefetch: st.meta&flagPrefetched != 0,
-		Core:     int(st.core),
+		Line:  mem.Line((b[w]-1)<<c.tagShift | uint64(s)),
+		Core:  int32(r[recInfo] >> infoCoreShift),
+		flags: flagValid | uint8(r[recInfo])&(flagDirty|flagPrefetched),
 	}
 	c.stats.Evictions++
-	c.live[s]--
-	if ev.Dirty {
+	if ev.Dirty() {
 		c.stats.Writebacks++
 	}
-	if ev.Prefetch {
+	if ev.Prefetch() {
 		c.stats.PrefetchUnused++
 	}
-	c.tags[i] = invalidTag
-	st.meta = 0
+	b[w], b[c.ways+w], r[recInfo] = 0, 0, 0
 	return ev
 }
 
 // MarkDirty sets the dirty bit of a resident line (store hit).
 func (c *Cache) MarkDirty(l mem.Line) {
 	t := c.tag(l)
-	base := c.set(l) * c.ways
-	tags := c.tags[base : base+c.dataWays]
-	for w := range tags {
-		if tags[w] == t {
-			c.st[base+w].meta |= flagDirty
+	b := c.block(c.set(l))
+	for w, tag := range b[:c.dataWays] {
+		if tag == t {
+			b[c.rec(w)+recInfo] |= flagDirty
 			return
 		}
 	}
@@ -373,9 +326,8 @@ func (c *Cache) MarkDirty(l mem.Line) {
 func (c *Cache) Invalidate(l mem.Line) Eviction {
 	s := c.set(l)
 	t := c.tag(l)
-	base := s * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == t {
+	for w, tag := range c.block(s)[:c.ways] {
+		if tag == t {
 			return c.evict(s, w)
 		}
 	}
@@ -395,7 +347,7 @@ func (c *Cache) SetDataWays(n int) []Eviction {
 	if n < c.dataWays {
 		for s := 0; s < c.sets; s++ {
 			for w := n; w < c.dataWays; w++ {
-				if ev := c.evict(s, w); ev.Valid {
+				if ev := c.evict(s, w); ev.Valid() {
 					evs = append(evs, ev)
 				}
 			}
@@ -409,9 +361,8 @@ func (c *Cache) SetDataWays(n int) []Eviction {
 func (c *Cache) Occupancy() int {
 	n := 0
 	for s := 0; s < c.sets; s++ {
-		base := s * c.ways
-		for w := 0; w < c.dataWays; w++ {
-			if c.tags[base+w] != invalidTag {
+		for _, tag := range c.block(s)[:c.dataWays] {
+			if tag != 0 {
 				n++
 			}
 		}

@@ -14,8 +14,8 @@ func testCache(t *testing.T) *Cache {
 
 func TestCheckInvariantsCleanCache(t *testing.T) {
 	c := testCache(t)
-	c.putLine(3, 0, Line{Tag: 0x10, Valid: true})
-	c.putLine(3, 1, Line{Tag: 0x20, Valid: true})
+	c.putLine(3, 0, 0x10)
+	c.putLine(3, 1, 0x20)
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatalf("clean cache violates invariants: %v", err)
 	}
@@ -23,8 +23,8 @@ func TestCheckInvariantsCleanCache(t *testing.T) {
 
 func TestCheckInvariantsDuplicateTag(t *testing.T) {
 	c := testCache(t)
-	c.putLine(5, 0, Line{Tag: 0x42, Valid: true})
-	c.putLine(5, 3, Line{Tag: 0x42, Valid: true})
+	c.putLine(5, 0, 0x42)
+	c.putLine(5, 3, 0x42)
 	err := c.CheckInvariants()
 	if err == nil {
 		t.Fatal("duplicate tags in one set passed the invariant check")
@@ -37,7 +37,7 @@ func TestCheckInvariantsDuplicateTag(t *testing.T) {
 func TestCheckInvariantsPartitionLeak(t *testing.T) {
 	c := New("llc", 64, 16, replacement.NewLRU(64, 16))
 	c.SetDataWays(12)
-	c.putLine(0, 14, Line{Tag: 0x99, Valid: true}) // fill escaped into the reserved ways
+	c.putLine(0, 14, 0x99) // fill escaped into the reserved ways
 	err := c.CheckInvariants()
 	if err == nil {
 		t.Fatal("valid line inside the metadata partition passed the invariant check")

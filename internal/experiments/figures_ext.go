@@ -5,7 +5,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/prefetch"
 	"repro/internal/prefetch/ghb"
-	"repro/internal/prefetch/isb"
 	"repro/internal/prefetch/markov"
 	"repro/internal/prefetch/nextline"
 	"repro/internal/sim"
@@ -22,7 +21,7 @@ func (r *Runner) ExtZoo() *Table {
 		{"NextLine", func(config.Machine) prefetch.Prefetcher { return nextline.New(1) }},
 		{"GHB_G/DC", func(config.Machine) prefetch.Prefetcher { return ghb.New(512) }},
 		{"Markov_1MB", func(config.Machine) prefetch.Prefetcher { return markov.New(1 << 20) }},
-		{"ISB", func(config.Machine) prefetch.Prefetcher { return isb.New() }},
+		cfgISB,
 		cfgT1M,
 	}
 	t := r.speedupTable("ext-zoo",
@@ -36,7 +35,7 @@ func (r *Runner) ExtZoo() *Table {
 // ExtZooTraffic reports the traffic side of the extended zoo.
 func (r *Runner) ExtZooTraffic() *Table {
 	configs := []namedPF{
-		{"ISB", func(config.Machine) prefetch.Prefetcher { return isb.New() }},
+		cfgISB,
 		cfgMISB,
 		cfgT1M,
 	}

@@ -15,10 +15,10 @@ func (r *Runner) launchMixGrid(mixes []workload.MixSpec, configs []namedPF) (bas
 	bases = make([]*Future[sim.Result], len(mixes))
 	cells = make([][]*Future[sim.Result], len(mixes))
 	for mi, mix := range mixes {
-		bases[mi] = r.runMixF(mix, cfgNone.name, pfNone)
+		bases[mi] = r.mixF(mix, cfgNone)
 		cells[mi] = make([]*Future[sim.Result], len(configs))
 		for ci, cfg := range configs {
-			cells[mi][ci] = r.runMixF(mix, cfg.name, cfg.f)
+			cells[mi][ci] = r.mixF(mix, cfg)
 		}
 	}
 	return bases, cells
@@ -28,18 +28,17 @@ func (r *Runner) launchMixGrid(mixes []workload.MixSpec, configs []namedPF) (bas
 // BO+Triage 13.7% vs BO 8.6%; Triage wins the irregular three, BO/SMS
 // the regular two; BO+SMS degrades vs BO).
 func (r *Runner) Fig14() *Table {
-	configs := []namedPF{cfgSMS, cfgBO, cfgTDyn, {"Triage_Static", pfTriageStatic(1 << 20)},
-		cfgBOSMS, cfgBOTStatic, cfgBOTDyn}
+	configs := []namedPF{cfgSMS, cfgBO, cfgTDyn, cfgTStatic, cfgBOSMS, cfgBOTStatic, cfgBOTDyn}
 	t := &Table{ID: "fig14", Title: "CloudSuite-like server workloads, 4-core"}
 	t.Header = append([]string{"benchmark"}, names(configs)...)
 	suite := workload.CloudSuite()
 	baseFs := make([]*Future[sim.Result], len(suite))
 	cellFs := make([][]*Future[sim.Result], len(suite))
 	for si, spec := range suite {
-		baseFs[si] = r.runRateF(spec, 4, cfgNone.name, pfNone)
+		baseFs[si] = r.rateF(spec, 4, cfgNone)
 		cellFs[si] = make([]*Future[sim.Result], len(configs))
 		for ci, cfg := range configs {
-			cellFs[si][ci] = r.runRateF(spec, 4, cfg.name, cfg.f)
+			cellFs[si][ci] = r.rateF(spec, 4, cfg)
 		}
 	}
 	sums := make([][]float64, len(configs))
@@ -73,9 +72,7 @@ func (r *Runner) Fig15() *Table {
 		name   string
 		st, dy float64
 	}
-	bases, cells := r.launchMixGrid(mixes, []namedPF{
-		{"Triage_Static", pfTriageStatic(1 << 20)}, cfgTDyn,
-	})
+	bases, cells := r.launchMixGrid(mixes, []namedPF{cfgTStatic, cfgTDyn})
 	var rows []rowv
 	for mi, mix := range mixes {
 		base := bases[mi].Wait()
@@ -191,7 +188,7 @@ func (r *Runner) Fig19() *Table {
 	t.Header = []string{"mix", "core0", "core1", "core2", "core3", "benchmarks"}
 	resFs := make([]*Future[sim.Result], len(mixes))
 	for mi, mix := range mixes {
-		resFs[mi] = r.runMixF(mix, cfgTDyn.name, pfTriageDyn)
+		resFs[mi] = r.mixF(mix, cfgTDyn)
 	}
 	for mi, mix := range mixes {
 		res := resFs[mi].Wait()

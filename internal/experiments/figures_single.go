@@ -9,16 +9,18 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/prefetch"
+	"repro/internal/prefetch/isb"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Runner executes figures over a worker pool, caching single-core runs
-// so that baselines shared between figures (e.g. the no-prefetch runs
-// used by Figs. 5, 6, 7, 10, 11, 12) are simulated once. The cache is
-// single-flight: each key maps to the Future of its one simulation, so
-// figures running concurrently (RunAll) share in-flight baselines
-// instead of duplicating them.
+// Runner executes figures over a worker pool, caching every run of a
+// named configuration — single-core, mix and rate — so that cells
+// shared between figures (the no-prefetch runs used by Figs. 5, 6, 7,
+// 10, 11, 12; the mix baselines fig16 re-plots from fig15) are
+// simulated once. The cache is single-flight: each key maps to the
+// Future of its one simulation, so figures running concurrently
+// (RunAll) share in-flight baselines instead of duplicating them.
 type Runner struct {
 	P    Params
 	pool *Pool
@@ -79,6 +81,7 @@ var (
 	cfgSMS       = namedPF{"SMS", pfSMS}
 	cfgT512      = namedPF{"Triage_512KB", pfTriageStatic(512 << 10)}
 	cfgT1M       = namedPF{"Triage_1MB", pfTriageStatic(1 << 20)}
+	cfgTStatic   = namedPF{"Triage_Static", pfTriageStatic(1 << 20)} // cfgT1M under the multi-core figures' label
 	cfgTDyn      = namedPF{"Triage_Dynamic", pfTriageDyn}
 	cfgSTMS      = namedPF{"STMS", pfSTMS}
 	cfgDomino    = namedPF{"Domino", pfDomino}
@@ -87,6 +90,7 @@ var (
 	cfgBOSMS     = namedPF{"BO+SMS", pfHybrid(pfBO, pfSMS)}
 	cfgTUnl      = namedPF{"Triage_Unlimited", pfTriageUnlimited}
 	cfgBOTStatic = namedPF{"BO+Triage_Static", pfHybrid(pfTriageStatic(1<<20), pfBO)}
+	cfgISB       = namedPF{"ISB", func(config.Machine) prefetch.Prefetcher { return isb.New() }}
 )
 
 // Fig01 reproduces the metadata reuse distribution (Fig. 1): an

@@ -273,40 +273,53 @@ func (r *Runner) Restored() uint64 { return r.restored.Load() }
 // runner's simulations, including warmup and contention-sustain work.
 func (r *Runner) SimulatedInstructions() uint64 { return r.simInstr.Load() }
 
-// singleF returns the Future of one cached benchmark x prefetcher run,
-// starting it if this is the first request. The per-key Future doubles
-// as single-flight dedup: concurrent figures that share a baseline wait
-// on the same Future instead of re-simulating it. With a checkpoint
-// attached, a key already in the store resolves instantly from disk.
+// cellF returns the Future of one cached cell — a single-core run, a
+// multi-programmed mix or an N-copy rate run — starting run on the
+// pool if this is the first request for key. The per-key Future
+// doubles as single-flight dedup: figures that share a cell (fig16
+// re-plotting fig15's baselines, a fig17 mix drawn with the same
+// composition) wait on the same Future instead of re-simulating it.
+// With a checkpoint attached, a key already in the store resolves
+// instantly from disk, and a newly simulated cell is appended to it.
+func (r *Runner) cellF(key string, run func(*telemetry.Hooks) sim.Result) *Future[sim.Result] {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f, ok := r.cache[key]; ok {
+		return f
+	}
+	var f *Future[sim.Result]
+	if res, samples, hit := r.checkpointGet(key); hit {
+		f = Resolved(res)
+		if len(samples) > 0 {
+			if r.samples == nil {
+				r.samples = make(map[string][]byte)
+			}
+			r.samples[key] = samples
+		}
+		r.restored.Add(1)
+	} else {
+		f = Go(r.pool, func() sim.Result {
+			res := r.execute(key, func(hooks *telemetry.Hooks) sim.Result {
+				return r.record(run(hooks))
+			})
+			r.checkpointPut(key, res)
+			return res
+		})
+	}
+	r.cache[key] = f
+	return f
+}
+
+// singleF returns the Future of one cached benchmark x prefetcher
+// run, keyed "bench/config". Its sampled series, if any, is kept under
+// the same key (SampleSeries).
 func (r *Runner) singleF(spec workload.Spec, cfg namedPF) *Future[sim.Result] {
 	key := spec.Name + "/" + cfg.name
-	r.mu.Lock()
-	f, ok := r.cache[key]
-	if !ok {
-		if res, samples, hit := r.checkpointGet(key); hit {
-			f = Resolved(res)
-			if len(samples) > 0 {
-				if r.samples == nil {
-					r.samples = make(map[string][]byte)
-				}
-				r.samples[key] = samples
-			}
-			r.restored.Add(1)
-		} else {
-			f = Go(r.pool, func() sim.Result {
-				res := r.execute(key, func(hooks *telemetry.Hooks) sim.Result {
-					rr := r.record(runSingle(r.P, spec, cfg.name, cfg.f, nil, hooks))
-					r.storeSamples(key, hooks)
-					return rr
-				})
-				r.checkpointPut(key, res)
-				return res
-			})
-		}
-		r.cache[key] = f
-	}
-	r.mu.Unlock()
-	return f
+	return r.cellF(key, func(hooks *telemetry.Hooks) sim.Result {
+		res := runSingle(r.P, spec, cfg.name, cfg.f, nil, hooks)
+		r.storeSamples(key, hooks)
+		return res
+	})
 }
 
 // checkpointGet probes the attached checkpoint (nil-safe). Called with
@@ -341,24 +354,22 @@ func (r *Runner) runSingleF(spec workload.Spec, factory pfFactory, mutate func(*
 	})
 }
 
-// runMixF schedules one multi-programmed mix on the pool. pfName names
-// the prefetcher configuration for warm-snapshot reuse ("" disables).
-func (r *Runner) runMixF(mix workload.MixSpec, pfName string, factory pfFactory) *Future[sim.Result] {
-	return Go(r.pool, func() sim.Result {
-		return r.execute(mix.Name, func(hooks *telemetry.Hooks) sim.Result {
-			return r.record(runMix(r.P, mix, pfName, factory, hooks))
-		})
+// mixF returns the Future of one cached multi-programmed mix run. The
+// key is the mix's benchmark composition, not its display name: every
+// mix figure numbers its mixes "mix1".., and two mixes share a cell
+// exactly when they run the same programs on the same cores.
+func (r *Runner) mixF(mix workload.MixSpec, cfg namedPF) *Future[sim.Result] {
+	key := cellKey("mix", mixBench(mix), cfg.name, len(mix.Specs))
+	return r.cellF(key, func(hooks *telemetry.Hooks) sim.Result {
+		return runMix(r.P, mix, cfg.name, cfg.f, hooks)
 	})
 }
 
-// runRateF schedules one N-copy server run on the pool. pfName names
-// the prefetcher configuration for warm-snapshot reuse ("" disables).
-func (r *Runner) runRateF(spec workload.Spec, cores int, pfName string, factory pfFactory) *Future[sim.Result] {
-	key := fmt.Sprintf("%s/x%d", spec.Name, cores)
-	return Go(r.pool, func() sim.Result {
-		return r.execute(key, func(hooks *telemetry.Hooks) sim.Result {
-			return r.record(runRate(r.P, spec, cores, pfName, factory, hooks))
-		})
+// rateF returns the Future of one cached N-copy server run.
+func (r *Runner) rateF(spec workload.Spec, cores int, cfg namedPF) *Future[sim.Result] {
+	key := cellKey("rate", spec.Name, cfg.name, cores)
+	return r.cellF(key, func(hooks *telemetry.Hooks) sim.Result {
+		return runRate(r.P, spec, cores, cfg.name, cfg.f, hooks)
 	})
 }
 

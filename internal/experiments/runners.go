@@ -134,16 +134,34 @@ func pfHybrid(a, b pfFactory) pfFactory {
 	}
 }
 
+// cellKey names one cell within a Runner — the single-flight and
+// checkpoint key of mix and rate cells: run kind, benchmark
+// composition, prefetcher configuration name and core count. The
+// Runner's Params fix the windows and seed, so these four are the
+// whole identity. pfName must uniquely identify the prefetcher
+// configuration within the process (namedPF names satisfy this — see
+// namedPF).
+func cellKey(kind, bench, pfName string, cores int) string {
+	return fmt.Sprintf("%s/%s/%s/x%d", kind, bench, pfName, cores)
+}
+
 // warmKey names a run's complete warm prefix for the simulator's
-// process-wide snapshot cache: workload construction (benchmark name +
-// seed), prefetcher configuration name, core count, and warmup window.
-// pfName must uniquely identify the prefetcher configuration within
-// the process (namedPF names satisfy this — see namedPF); the
-// simulator independently re-checks the machine-shape half of the key
+// process-wide snapshot cache, which outlives any one Runner: the cell
+// identity plus the warmup window and seed. The simulator
+// independently re-checks the machine-shape half of the key
 // (sim.Options.WarmKey), so a collision degrades to a cold warmup
 // only when it is safe to reuse and to a refused restore otherwise.
 func warmKey(kind, bench, pfName string, cores int, warm, seed uint64) string {
-	return fmt.Sprintf("%s/%s/%s/x%d/w%d/s%d", kind, bench, pfName, cores, warm, seed)
+	return fmt.Sprintf("%s/w%d/s%d", cellKey(kind, bench, pfName, cores), warm, seed)
+}
+
+// mixBench spells out a mix's benchmark composition, core by core.
+func mixBench(mix workload.MixSpec) string {
+	comp := make([]string, len(mix.Specs))
+	for c, spec := range mix.Specs {
+		comp[c] = spec.Name
+	}
+	return strings.Join(comp, "+")
 }
 
 // runSingle simulates one benchmark on a single-core Table 1 machine.
@@ -202,11 +220,7 @@ func runMix(p Params, mix workload.MixSpec, pfName string, factory pfFactory, te
 		CheckEvery:          p.CheckEvery,
 	}
 	if pfName != "" {
-		comp := make([]string, cores)
-		for c, spec := range mix.Specs {
-			comp[c] = spec.Name
-		}
-		opts.WarmKey = warmKey("mix", strings.Join(comp, "+"), pfName, cores, p.MultiWarmup, p.Seed)
+		opts.WarmKey = warmKey("mix", mixBench(mix), pfName, cores, p.MultiWarmup, p.Seed)
 	}
 	machine, err := sim.New(opts)
 	if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/sim"
@@ -19,6 +20,7 @@ func TestWarmReuseByteIdentical(t *testing.T) {
 	}
 	sim.GlobalWarmCache().Reset()
 	t.Cleanup(sim.GlobalWarmCache().Reset)
+	warmBudgetAtLeast(t, 512<<20)
 
 	ids := []string{"fig05", "fig16"}
 	cold, coldSamples := csvFor(t, tinyParams(), 4, ids)
@@ -52,6 +54,24 @@ func TestWarmReuseByteIdentical(t *testing.T) {
 			t.Errorf("series %q differs between cold and warm runs:\n--- cold ---\n%s\n--- warm ---\n%s", key, want, got)
 		}
 	}
+}
+
+// warmBudgetAtLeast raises the runtime memory limit for the rest of
+// the test, if needed, so that the process-wide warm-snapshot cache
+// (sized to a quarter of the limit) holds at least budget bytes. The
+// cold fig05+fig16 run stores about 380 MiB of snapshots; under
+// TestMain's 1 GiB limit the cache holds 256 MiB, and the second run,
+// which looks the keys up in the order the first stored them, would
+// find only what LRU eviction happened to spare, which depends on the
+// order cells finish in and is often nothing at GOMAXPROCS 1 or 2.
+func warmBudgetAtLeast(t *testing.T, budget int64) {
+	t.Helper()
+	old := debug.SetMemoryLimit(-1)
+	if old/4 >= budget {
+		return
+	}
+	debug.SetMemoryLimit(4 * budget)
+	t.Cleanup(func() { debug.SetMemoryLimit(old) })
 }
 
 // TestWarmKeyNoCrossMixCollision pins the warm-key naming contract for

@@ -148,21 +148,21 @@ func (h *Hawkeye) Fill(set, way int, a Access) {
 }
 
 // Victim implements Policy.
-func (h *Hawkeye) Victim(set int, _ Access, valid []bool) int {
-	if w := preferInvalid(valid); w >= 0 {
+func (h *Hawkeye) Victim(set int, _ Access, stamps []uint64) int {
+	if w := preferInvalid(stamps); w >= 0 {
 		return w
 	}
 	row := h.rrpv[set]
-	// Prefer a cache-averse line (RRPV == 7). Only len(valid) ways are
+	// Prefer a cache-averse line (RRPV == 7). Only len(stamps) ways are
 	// eligible: a way-partitioned cache passes a shortened slice.
-	for w := 0; w < len(valid); w++ {
+	for w := 0; w < len(stamps); w++ {
 		if row[w] == hawkeyeMaxRRPV {
 			return w
 		}
 	}
 	// Otherwise evict the oldest friendly line and detrain its PC.
 	victim, maxRRPV := 0, -1
-	for w := 0; w < len(valid); w++ {
+	for w := 0; w < len(stamps); w++ {
 		if int(row[w]) > maxRRPV {
 			maxRRPV, victim = int(row[w]), w
 		}

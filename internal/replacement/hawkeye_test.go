@@ -90,6 +90,12 @@ func TestHawkeyeBeatsLRUOnScan(t *testing.T) {
 			line  mem.Line
 			valid bool
 		}
+		// The model stamps recency like cache.Cache does.
+		var clock uint64
+		stamps := make([][]uint64, sets)
+		for i := range stamps {
+			stamps[i] = make([]uint64, ways)
+		}
 		cache := make([][]lineState, sets)
 		for i := range cache {
 			cache[i] = make([]lineState, ways)
@@ -108,17 +114,16 @@ func TestHawkeyeBeatsLRUOnScan(t *testing.T) {
 						break
 					}
 				}
+				clock++
 				if found >= 0 {
 					hits++
+					stamps[set][found] = clock
 					p.Hit(set, found, a)
 					continue
 				}
-				valid := make([]bool, ways)
-				for w := range cache[set] {
-					valid[w] = cache[set][w].valid
-				}
-				w := p.Victim(set, a, valid)
+				w := p.Victim(set, a, stamps[set])
 				cache[set][w] = lineState{line: l, valid: true}
+				stamps[set][w] = clock
 				p.Fill(set, w, a)
 			}
 		}

@@ -1,40 +1,30 @@
 package replacement
 
-// LRU is the classic least-recently-used policy.
-type LRU struct {
-	ways  int
-	stamp []uint64 // last-use timestamps, indexed set*ways + way
-	clock uint64
-}
+// LRU is the classic least-recently-used policy. It keeps no state of
+// its own: the cache's recency stamps (see Policy) already order a
+// set's lines, so Victim evicts the smallest stamp — an empty way's 0
+// when there is one.
+type LRU struct{}
 
-// NewLRU returns an LRU policy for a sets x ways cache.
-func NewLRU(sets, ways int) *LRU {
-	return &LRU{ways: ways, stamp: make([]uint64, sets*ways)}
-}
+// NewLRU returns an LRU policy for a sets x ways cache. The geometry is
+// accepted for symmetry with the other constructors; the recency state
+// lives in the cache.
+func NewLRU(sets, ways int) *LRU { return &LRU{} }
 
 // Name implements Policy.
 func (p *LRU) Name() string { return "lru" }
 
 // Hit implements Policy.
-func (p *LRU) Hit(set, way int, _ Access) { p.touch(set, way) }
+func (p *LRU) Hit(int, int, Access) {}
 
 // Fill implements Policy.
-func (p *LRU) Fill(set, way int, _ Access) { p.touch(set, way) }
-
-func (p *LRU) touch(set, way int) {
-	p.clock++
-	p.stamp[set*p.ways+way] = p.clock
-}
+func (p *LRU) Fill(int, int, Access) {}
 
 // Victim implements Policy.
-func (p *LRU) Victim(set int, _ Access, valid []bool) int {
-	if w := preferInvalid(valid); w >= 0 {
-		return w
-	}
-	stamp := p.stamp[set*p.ways : set*p.ways+len(valid)]
+func (p *LRU) Victim(_ int, _ Access, stamps []uint64) int {
 	victim, oldest := 0, ^uint64(0)
-	for w := range stamp {
-		if s := stamp[w]; s < oldest {
+	for w, s := range stamps {
+		if s < oldest {
 			oldest, victim = s, w
 		}
 	}

@@ -1,53 +1,57 @@
 package replacement
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/mem"
 )
 
-func allValid(ways int) []bool {
-	v := make([]bool, ways)
+// allValid returns the recency stamps of a full set whose ways were
+// last touched in way order (way 0 least recent).
+func allValid(ways int) []uint64 {
+	v := make([]uint64, ways)
 	for i := range v {
-		v[i] = true
+		v[i] = uint64(i + 1)
 	}
 	return v
 }
 
 func TestLRUPrefersInvalid(t *testing.T) {
 	p := NewLRU(4, 4)
-	valid := []bool{true, true, false, true}
-	if got := p.Victim(0, Access{}, valid); got != 2 {
+	stamps := []uint64{4, 7, 0, 5}
+	if got := p.Victim(0, Access{}, stamps); got != 2 {
 		t.Errorf("Victim = %d, want invalid way 2", got)
 	}
 }
 
 func TestLRUEvictsLeastRecent(t *testing.T) {
 	p := NewLRU(1, 4)
-	for w := 0; w < 4; w++ {
-		p.Fill(0, w, Access{})
-	}
-	p.Hit(0, 0, Access{}) // way 0 most recent; way 1 now LRU
-	if got := p.Victim(0, Access{}, allValid(4)); got != 1 {
+	stamps := []uint64{1, 2, 3, 4} // filled in way order
+	stamps[0] = 5                  // hit on way 0: way 1 now LRU
+	if got := p.Victim(0, Access{}, stamps); got != 1 {
 		t.Errorf("Victim = %d, want 1", got)
 	}
-	p.Hit(0, 1, Access{})
-	if got := p.Victim(0, Access{}, allValid(4)); got != 2 {
+	stamps[1] = 6
+	if got := p.Victim(0, Access{}, stamps); got != 2 {
 		t.Errorf("Victim = %d, want 2", got)
+	}
+	// A way-partitioned cache passes a shortened view: way 2 is not
+	// eligible, so the LRU way among 0-1 goes.
+	if got := p.Victim(0, Access{}, stamps[:2]); got != 0 {
+		t.Errorf("Victim over 2 ways = %d, want 0", got)
 	}
 }
 
 func TestLRUSetsIndependent(t *testing.T) {
+	// LRU ranks only the stamps it is handed; the set index selects
+	// nothing, so each set's order stands alone.
 	p := NewLRU(2, 2)
-	p.Fill(0, 0, Access{})
-	p.Fill(0, 1, Access{})
-	p.Fill(1, 1, Access{})
-	p.Fill(1, 0, Access{})
-	if got := p.Victim(0, Access{}, allValid(2)); got != 0 {
+	if got := p.Victim(0, Access{}, []uint64{1, 2}); got != 0 {
 		t.Errorf("set 0 Victim = %d, want 0", got)
 	}
-	if got := p.Victim(1, Access{}, allValid(2)); got != 1 {
+	if got := p.Victim(1, Access{}, []uint64{4, 3}); got != 1 {
 		t.Errorf("set 1 Victim = %d, want 1", got)
 	}
 }
@@ -69,8 +73,8 @@ func TestRandomDeterministic(t *testing.T) {
 
 func TestRandomPrefersInvalid(t *testing.T) {
 	p := NewRandom(4, 1)
-	valid := []bool{true, false, true, true}
-	if got := p.Victim(0, Access{}, valid); got != 1 {
+	stamps := []uint64{9, 0, 3, 0}
+	if got := p.Victim(0, Access{}, stamps); got != 1 {
 		t.Errorf("Victim = %d, want 1", got)
 	}
 }
@@ -151,5 +155,14 @@ func TestAllPoliciesVictimInRange(t *testing.T) {
 				p.Hit(set, v, a)
 			}
 		}
+	}
+}
+
+// TestLRUKeepsNoPerWayState pins where LRU recency lives: in the
+// cache's per-set block, beside the tags. A stamp array here would
+// duplicate it, and every warm snapshot would deep-copy both.
+func TestLRUKeepsNoPerWayState(t *testing.T) {
+	if n := reflect.TypeOf(LRU{}).NumField(); n != 0 {
+		t.Errorf("LRU has %d fields, want 0 (recency belongs to the cache)", n)
 	}
 }

@@ -20,6 +20,11 @@ type Access struct {
 // Policy decides which way to evict within a set and observes hits and
 // fills. A single Policy instance serves one cache; implementations are
 // sized with NewXxx(sets, ways).
+//
+// Recency is not policy state: the cache stamps every way with its own
+// access clock on each hit and fill, keeps the stamps beside the tags,
+// and hands them to Victim. LRU needs nothing more; the other policies
+// keep whatever per-way state they rank by.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -29,15 +34,18 @@ type Policy interface {
 	// (set, way).
 	Fill(set, way int, a Access)
 	// Victim selects the way to evict from set for the incoming access.
-	// valid[w] reports whether way w currently holds a line; policies
-	// must prefer an invalid way when one exists.
-	Victim(set int, a Access, valid []bool) int
+	// stamps[w] is way w's recency stamp: 0 when the way is empty,
+	// otherwise the cache clock at its last hit or fill (larger is more
+	// recent). Only len(stamps) ways are eligible — a way-partitioned
+	// cache passes a shortened slice. Policies must return the first
+	// empty way when one exists.
+	Victim(set int, a Access, stamps []uint64) int
 }
 
-// preferInvalid returns the first invalid way, or -1 if all are valid.
-func preferInvalid(valid []bool) int {
-	for w, v := range valid {
-		if !v {
+// preferInvalid returns the first empty way, or -1 if all hold a line.
+func preferInvalid(stamps []uint64) int {
+	for w, s := range stamps {
+		if s == 0 {
 			return w
 		}
 	}

@@ -26,12 +26,12 @@ func (p *Random) Hit(int, int, Access) {}
 func (p *Random) Fill(int, int, Access) {}
 
 // Victim implements Policy.
-func (p *Random) Victim(_ int, _ Access, valid []bool) int {
-	if w := preferInvalid(valid); w >= 0 {
+func (p *Random) Victim(_ int, _ Access, stamps []uint64) int {
+	if w := preferInvalid(stamps); w >= 0 {
 		return w
 	}
 	p.state ^= p.state << 13
 	p.state ^= p.state >> 7
 	p.state ^= p.state << 17
-	return int(p.state % uint64(len(valid)))
+	return int(p.state % uint64(len(stamps)))
 }

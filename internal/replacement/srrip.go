@@ -38,18 +38,18 @@ func (p *SRRIP) Hit(set, way int, _ Access) { p.rrpv[set][way] = 0 }
 func (p *SRRIP) Fill(set, way int, _ Access) { p.rrpv[set][way] = p.maxRRPV - 1 }
 
 // Victim implements Policy.
-func (p *SRRIP) Victim(set int, _ Access, valid []bool) int {
-	if w := preferInvalid(valid); w >= 0 {
+func (p *SRRIP) Victim(set int, _ Access, stamps []uint64) int {
+	if w := preferInvalid(stamps); w >= 0 {
 		return w
 	}
 	row := p.rrpv[set]
 	for {
-		for w := 0; w < len(valid); w++ {
+		for w := 0; w < len(stamps); w++ {
 			if row[w] == p.maxRRPV {
 				return w
 			}
 		}
-		for w := 0; w < len(valid); w++ {
+		for w := 0; w < len(stamps); w++ {
 			row[w]++
 		}
 	}

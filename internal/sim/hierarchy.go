@@ -274,7 +274,7 @@ func (h *hierarchy) applyPartition(now uint64) {
 	// Flushed dirty lines are written back (the paper flushes the
 	// reallocated portion immediately).
 	for _, ev := range evs {
-		if ev.Dirty {
+		if ev.Dirty() {
 			h.ram.Access(0, ev.Line, dram.Writeback)
 		}
 	}
@@ -324,7 +324,7 @@ func (h *hierarchy) load(c int, pc uint64, line mem.Line, now uint64) uint64 {
 		}
 		h.fill(h.l1[c], c, line, acc, false, ready)
 		h.l1mshr[c].commit(slotL1, ready)
-		if r.WasPrefetch {
+		if r.WasPrefetch() {
 			if h.tr != nil {
 				h.tr.Emit(telemetry.Event{Tick: t, Kind: telemetry.EvUsed, Core: int32(c), Level: 2, Line: uint64(line), PC: pc})
 			}
@@ -342,7 +342,7 @@ func (h *hierarchy) load(c int, pc uint64, line mem.Line, now uint64) uint64 {
 		if r.ReadyTick > ready {
 			ready = r.ReadyTick
 		}
-		if r.WasPrefetch && h.tr != nil {
+		if r.WasPrefetch() && h.tr != nil {
 			h.tr.Emit(telemetry.Event{Tick: t2, Kind: telemetry.EvUsed, Core: int32(c), Level: 3, Line: uint64(line), PC: pc})
 		}
 	} else {
@@ -376,7 +376,7 @@ func (h *hierarchy) store(c int, pc uint64, line mem.Line, now uint64) {
 		}
 		h.fill(h.l1[c], c, line, acc, true, ready)
 		h.l1mshr[c].commit(slotL1, ready)
-		if r.WasPrefetch {
+		if r.WasPrefetch() {
 			if h.tr != nil {
 				h.tr.Emit(telemetry.Event{Tick: t, Kind: telemetry.EvUsed, Core: int32(c), Level: 2, Line: uint64(line), PC: pc})
 			}
@@ -404,18 +404,18 @@ func (h *hierarchy) store(c int, pc uint64, line mem.Line, now uint64) {
 // fill installs a line and routes the displaced victim's writeback.
 func (h *hierarchy) fill(dst *cache.Cache, c int, line mem.Line, acc replacement.Access, dirty bool, ready uint64) {
 	ev := dst.Fill(line, acc, dirty, ready)
-	if !ev.Valid {
+	if !ev.Valid() {
 		return
 	}
-	if ev.Prefetch && h.tr != nil {
+	if ev.Prefetch() && h.tr != nil {
 		switch dst {
 		case h.l2[c]:
-			h.tr.Emit(telemetry.Event{Tick: ready, Kind: telemetry.EvEvictedUnused, Core: int32(ev.Core), Level: 2, Line: uint64(ev.Line)})
+			h.tr.Emit(telemetry.Event{Tick: ready, Kind: telemetry.EvEvictedUnused, Core: ev.Core, Level: 2, Line: uint64(ev.Line)})
 		case h.llc:
-			h.tr.Emit(telemetry.Event{Tick: ready, Kind: telemetry.EvEvictedUnused, Core: int32(ev.Core), Level: 3, Line: uint64(ev.Line)})
+			h.tr.Emit(telemetry.Event{Tick: ready, Kind: telemetry.EvEvictedUnused, Core: ev.Core, Level: 3, Line: uint64(ev.Line)})
 		}
 	}
-	if !ev.Dirty {
+	if !ev.Dirty() {
 		return
 	}
 	switch dst {

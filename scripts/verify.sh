@@ -40,11 +40,13 @@ go test -run 'TestCheckpointV2ReadCompat|TestCheckpointMidFile|TestCheckpointCra
 go test -run 'TestDegraded|TestSubmitRejected|TestChaos' ./internal/service
 
 # Fuzz the hostile-input parsers briefly: the checkpoint record
-# scanner, the job-spec decoder, and both binary trace decoders.
+# scanner, the job-spec decoder, and both binary trace decoders. Then
+# fuzz the set-packed cache against its naive reference model.
 go test -run '^$' -fuzz '^FuzzCheckpointParse$' -fuzztime 5s ./internal/experiments
 go test -run '^$' -fuzz '^FuzzJobSpecDecode$' -fuzztime 5s ./internal/service
 go test -run '^$' -fuzz '^FuzzTraceDecode$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzTraceV2Decode$' -fuzztime 5s ./internal/trace
+go test -run '^$' -fuzz '^FuzzCacheReference$' -fuzztime 5s ./internal/cache
 
 # End-to-end smoke: one small figure through the experiment driver, and
 # one telemetry-instrumented run producing sampled series + event trace.
