@@ -554,12 +554,12 @@ func BenchmarkExperimentRegistry(b *testing.B) {
 
 // --- Step-loop microbenchmarks (BENCH_sim.json "micro" rows) ---
 //
-// These three isolate the simulator's hot machinery rather than a
-// figure: the batched retirement loop itself, the devirtualized
-// prefetcher dispatch path, and warm-state snapshot restore. Merge
-// their results into BENCH_sim.json with:
+// These two isolate the simulator's hot machinery rather than a
+// figure: the batched retirement loop itself and the devirtualized
+// prefetcher dispatch path. Merge their results into BENCH_sim.json
+// with:
 //
-//	go test -run '^$' -bench 'StepLoop|PrefetchDispatch|WarmupSnapshot' . |
+//	go test -run '^$' -bench 'StepLoop|PrefetchDispatch' . |
 //	    go run ./cmd/benchmerge -file BENCH_sim.json -pkg repro
 
 // BenchmarkStepLoop measures the raw batched step loop: one core, no
@@ -602,42 +602,4 @@ func BenchmarkPrefetchDispatch(b *testing.B) {
 		machine.Run()
 	}
 	b.ReportMetric(float64(b.N)*instr/b.Elapsed().Seconds()/1e6, "Minstr/s")
-}
-
-// BenchmarkWarmupSnapshot measures a warm-restored run end to end: a
-// cold run populates the process snapshot cache, then every iteration
-// restores the 2M-instruction warm state instead of re-simulating it
-// and runs a short measurement window on top.
-func BenchmarkWarmupSnapshot(b *testing.B) {
-	spec, _ := workload.ByName("mcf")
-	const (
-		warm    = 2_000_000
-		measure = 200_000
-	)
-	mk := func(seedRun int) *sim.Machine {
-		machine, err := sim.New(sim.Options{
-			Machine:             config.Default(1),
-			Workloads:           []trace.Reader{spec.New(1, 0)},
-			Prefetchers:         []prefetch.Prefetcher{mkTriage1M()},
-			WarmupInstructions:  warm,
-			MeasureInstructions: measure,
-			WarmKey:             "bench/warm-snapshot/mcf/triage-1m",
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return machine
-	}
-	sim.GlobalWarmCache().Reset()
-	mk(0).Run() // cold: simulates warmup and stores the snapshot
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mk(i + 1).Run()
-	}
-	b.StopTimer()
-	hits, _, _ := sim.GlobalWarmCache().Stats()
-	if hits < uint64(b.N) {
-		b.Fatalf("warm restores: %d of %d runs", hits, b.N)
-	}
-	b.ReportMetric(float64(b.N)*(warm+measure)/b.Elapsed().Seconds()/1e6, "effective-Minstr/s")
 }

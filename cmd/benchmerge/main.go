@@ -2,12 +2,11 @@
 // versioned BENCH_sim.json report next to the whole-experiment rows
 // written by cmd/experiments -bench:
 //
-//	go test -run '^$' -bench 'StepLoop|PrefetchDispatch|WarmupSnapshot' . |
+//	go test -run '^$' -bench 'StepLoop|PrefetchDispatch' . |
 //	    go run ./cmd/benchmerge -file BENCH_sim.json -pkg repro
 //
 // Rows are keyed (package, benchmark name): re-running a suite updates
-// its rows in place, and a legacy bare-array report is upgraded to the
-// current schema on first merge.
+// its rows in place.
 //
 // With -service, stdin is instead a BENCH_service.json fragment (the
 // shape cmd/triageload emits) and its scenario rows are merged into the

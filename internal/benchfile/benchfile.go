@@ -1,9 +1,7 @@
 // Package benchfile owns the BENCH_sim.json schema: a versioned report
 // holding whole-experiment throughput rows (written by cmd/experiments
 // -bench) and per-package microbenchmark rows (appended by
-// cmd/benchmerge from `go test -bench` output). Earlier reports were a
-// bare JSON array of experiment rows; Read upgrades those to the
-// current schema so tooling only handles one shape.
+// cmd/benchmerge from `go test -bench` output).
 package benchfile
 
 import (
@@ -19,7 +17,7 @@ import (
 // SchemaVersion is the current BENCH_sim.json schema.
 // Version history:
 //
-//	1 (implicit): bare JSON array of experiment rows.
+//	1 (implicit): bare JSON array of experiment rows; no longer read.
 //	2: versioned object {schema_version, experiments, micro}.
 const SchemaVersion = 2
 
@@ -58,8 +56,7 @@ type Micro struct {
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Read loads a report, upgrading a legacy bare-array file to the
-// current schema. A missing or empty file is not an error: it returns
+// Read loads a report. A missing or empty file is not an error: it returns
 // an empty current-schema File so callers can build reports
 // incrementally (mktemp-style pre-created output files included).
 func Read(path string) (*File, error) {
@@ -76,16 +73,8 @@ func Read(path string) (*File, error) {
 	return Decode(data)
 }
 
-// Decode parses either schema version.
+// Decode parses a versioned report; a schema-1 bare array is an error.
 func Decode(data []byte) (*File, error) {
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, "[") {
-		var rows []Experiment
-		if err := json.Unmarshal(data, &rows); err != nil {
-			return nil, fmt.Errorf("benchfile: legacy array: %w", err)
-		}
-		return &File{SchemaVersion: SchemaVersion, Experiments: rows}, nil
-	}
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("benchfile: %w", err)

@@ -34,17 +34,11 @@ func TestReadMissingOrEmpty(t *testing.T) {
 	}
 }
 
-// TestDecodeLegacyArray pins the v1 bare-array upgrade path.
+// TestDecodeLegacyArray pins that a schema-1 bare array is rejected
+// rather than upgraded.
 func TestDecodeLegacyArray(t *testing.T) {
-	f, err := Decode([]byte(`[{"experiment":"fig05","wall_seconds":1.5},{"experiment":"total"}]`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.SchemaVersion != SchemaVersion || len(f.Experiments) != 2 {
-		t.Fatalf("legacy upgrade: %+v", f)
-	}
-	if tot, ok := f.Total(); !ok || tot.Experiment != "total" {
-		t.Errorf("Total() = %+v, %v", tot, ok)
+	if f, err := Decode([]byte(`[{"experiment":"fig05","wall_seconds":1.5},{"experiment":"total"}]`)); err == nil {
+		t.Fatalf("bare array decoded without error: %+v", f)
 	}
 }
 

@@ -11,12 +11,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// TestNamedPFNamesUnique checks the naming contract the single-flight,
-// checkpoint and warm-snapshot keys rely on: a namedPF name identifies
+// TestNamedPFNamesUnique checks the naming contract the single-flight
+// and checkpoint keys rely on: a namedPF name identifies
 // one prefetcher configuration. It parses the package source and
 // requires every namedPF literal to carry a distinct name — a string
 // literal, or an fmt.Sprintf whose format encodes the varied
@@ -121,8 +120,6 @@ func TestSharedRunnerDedupsMixCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation smoke test")
 	}
-	sim.GlobalWarmCache().Reset()
-	t.Cleanup(sim.GlobalWarmCache().Reset)
 
 	p := tinyParams()
 	irregular := workload.Mixes(p.Mixes, 4, p.Seed, true)
@@ -166,6 +163,24 @@ func TestSharedRunnerDedupsMixCells(t *testing.T) {
 			t.Errorf("%s+%s on one Runner simulated %d cells, want %d (%d shared cells simulated once)",
 				pair[0], pair[1], got, len(union), dup)
 		}
+	}
+}
+
+// TestWarmKeyNoCrossMixCollision pins the cell-key naming contract for
+// multi-programmed mixes. Every mix figure numbers its mixes "mix1"..,
+// but the benchmark compositions differ per figure, so a cell key
+// derived from the display name alone would let fig18's cells reuse
+// fig16's results (same machine shape, same windows). The key must
+// therefore encode the composition: fig18 simulated after fig16 on a
+// shared Runner, sampled series attached, must match fig18 alone.
+func TestWarmKeyNoCrossMixCollision(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation smoke test")
+	}
+	alone, _ := csvFor(t, tinyParams(), 4, []string{"fig18"})
+	both, _ := csvFor(t, tinyParams(), 4, []string{"fig16", "fig18"})
+	if !bytes.HasSuffix(both, alone) {
+		t.Errorf("fig18 output changes when fig16 ran first (cell-key collision):\n--- alone ---\n%s\n--- after fig16 ---\n%s", alone, both)
 	}
 }
 

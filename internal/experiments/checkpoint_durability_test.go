@@ -3,27 +3,29 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
 
-// writeV2Store builds a legacy (pre-CRC) store file by hand: plain
-// JSONL records after a v2 header — the on-disk format PR 3/4 wrote.
+// writeV2Store builds a store file in the retired v2 format by hand:
+// plain JSONL records (no CRC framing) after a version-2 header.
 func writeV2Store(t *testing.T, fsys vfs.FS, dir, fp string, recs []checkpointRecord) {
 	t.Helper()
 	var buf bytes.Buffer
-	hdr, err := json.Marshal(checkpointHeader{V: checkpointVersionV2, FP: fp})
+	hdr, err := json.Marshal(checkpointHeader{V: 2, FP: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Write(hdr)
 	buf.WriteByte('\n')
 	for _, rec := range recs {
-		rec.V = checkpointVersionV2
+		rec.V = 2
 		b, err := json.Marshal(rec)
 		if err != nil {
 			t.Fatal(err)
@@ -39,55 +41,38 @@ func writeV2Store(t *testing.T, fsys vfs.FS, dir, fp string, recs []checkpointRe
 	}
 }
 
-// TestCheckpointV2ReadCompat: a store written in the legacy v2 format
-// opens, serves its records, and is upgraded in place to v3 framing —
-// after which every line (header aside) carries a CRC.
+// TestCheckpointV2ReadCompat: a store in the retired v2 format is
+// refused with the format-version error, and the refusal leaves the
+// store file byte-for-byte as it was (no upgrade, no quarantine).
 func TestCheckpointV2ReadCompat(t *testing.T) {
 	dir := t.TempDir()
-	res := sim.Result{PrefetchesIssued: 11}
 	writeV2Store(t, vfs.OS{}, dir, testFP(), []checkpointRecord{
-		{Key: "a/b", Result: res, Samples: []byte("{\"s\":1}\n")},
+		{Key: "a/b", Result: sim.Result{PrefetchesIssued: 11}, Samples: []byte("{\"s\":1}\n")},
 		{Key: "fig/x", Blob: []byte(`{"table":1}`), IsBlob: true},
 	})
+	path := filepath.Join(dir, checkpointFile)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ck, err := OpenCheckpoint(dir, testFP())
-	if err != nil {
-		t.Fatalf("v2 store refused: %v", err)
+	if err == nil {
+		ck.Close()
+		t.Fatal("v2 store opened; want a format-version refusal")
 	}
-	got, samples, ok := ck.Get("a/b")
-	if !ok || got.PrefetchesIssued != 11 || string(samples) != "{\"s\":1}\n" {
-		t.Errorf("v2 run record = (%+v, %q, %t), want the persisted values", got, samples, ok)
+	want := fmt.Sprintf("checkpoint format version 2, this build writes %d", checkpointVersion)
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("v2 store refused with %q, want it to say %q", err, want)
 	}
-	if blob, ok := ck.GetBlob("fig/x"); !ok || string(blob) != `{"table":1}` {
-		t.Errorf("v2 blob record = (%q, %t)", blob, ok)
-	}
-	if err := ck.Put("new/key", sim.Result{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The upgraded file must be pure v3: header + CRC-framed lines.
-	data, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
-	if len(lines) != 4 {
-		t.Fatalf("upgraded store has %d lines, want header + 3 records", len(lines))
+	if !bytes.Equal(before, after) {
+		t.Errorf("refused v2 store was modified:\n--- before ---\n%s\n--- after ---\n%s", before, after)
 	}
-	for i, line := range lines[1:] {
-		if _, err := unframeRecord(line); err != nil {
-			t.Errorf("upgraded record %d not CRC-framed: %v", i, err)
-		}
-	}
-	ck2, err := OpenCheckpoint(dir, testFP())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck2.Close()
-	if ck2.Len() != 3 {
-		t.Errorf("reopened upgraded store holds %d records, want 3", ck2.Len())
+	if _, err := os.Stat(filepath.Join(dir, quarantineFile)); !os.IsNotExist(err) {
+		t.Errorf("refusing a v2 store wrote a quarantine file (stat err %v)", err)
 	}
 }
 

@@ -22,8 +22,8 @@ func FuzzCheckpointParse(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte("{"))
-	hdr2, _ := json.Marshal(checkpointHeader{V: checkpointVersionV2, FP: fp})
-	rec2, _ := json.Marshal(checkpointRecord{V: checkpointVersionV2, Key: "a/b"})
+	hdr2, _ := json.Marshal(checkpointHeader{V: 2, FP: fp})
+	rec2, _ := json.Marshal(checkpointRecord{V: 2, Key: "a/b"})
 	f.Add(append(append(append(append([]byte{}, hdr2...), '\n'), rec2...), '\n'))
 	f.Add(append(append([]byte{}, hdr...), "\ndeadbeef {\"v\":3,\"key\":\"x\"}\n"...))
 

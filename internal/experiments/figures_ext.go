@@ -74,9 +74,7 @@ func (r *Runner) ExtZooTraffic() *Table {
 // partitioning. It must preserve Dynamic's irregular wins while
 // repairing the Fig. 8 bzip2-style losses.
 func (r *Runner) ExtUtility() *Table {
-	cfgUtil := namedPF{"Triage_DynUtil", func(m config.Machine) prefetch.Prefetcher {
-		return core.New(core.Config{Mode: core.DynamicUtility, LLCLatencyTicks: llcTicks(m)})
-	}}
+	cfgUtil := namedPF{"Triage_DynUtil", pfTriageDynUtil}
 	t := &Table{
 		ID:     "ext-utility",
 		Title:  "Future-work extension: utility-aware partitioning vs Triage-Dynamic",

@@ -61,9 +61,9 @@ func NewRunnerPool(p Params, pool *Pool) *Runner {
 // Naming contract: the name must identify the prefetcher configuration
 // uniquely within the process — two namedPF values with the same name
 // must build behaviorally identical prefetchers. The single-flight
-// cache key and the warm-snapshot key (warmKey) both embed the name,
-// so a name reused for a different configuration would silently alias
-// cells. Inline namedPF literals in figures (degree sweeps, epoch
+// cache key and the checkpoint key both embed the name, so a name
+// reused for a different configuration would silently alias cells.
+// Inline namedPF literals in figures (degree sweeps, epoch
 // sweeps) must encode every varied parameter in the name.
 type namedPF struct {
 	name string

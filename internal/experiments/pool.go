@@ -316,7 +316,7 @@ func (r *Runner) cellF(key string, run func(*telemetry.Hooks) sim.Result) *Futur
 func (r *Runner) singleF(spec workload.Spec, cfg namedPF) *Future[sim.Result] {
 	key := spec.Name + "/" + cfg.name
 	return r.cellF(key, func(hooks *telemetry.Hooks) sim.Result {
-		res := runSingle(r.P, spec, cfg.name, cfg.f, nil, hooks)
+		res := runSingle(r.P, spec, cfg.f, nil, hooks)
 		r.storeSamples(key, hooks)
 		return res
 	})
@@ -343,13 +343,12 @@ func (r *Runner) checkpointPut(key string, res sim.Result) {
 }
 
 // runSingleF schedules an uncached single-core run (mutated machines,
-// one-off configurations) on the pool. No warm-snapshot key: a mutated
-// machine's warm prefix has no stable process-wide name.
+// one-off configurations) on the pool.
 func (r *Runner) runSingleF(spec workload.Spec, factory pfFactory, mutate func(*sim.Options)) *Future[sim.Result] {
 	key := spec.Name + "/adhoc"
 	return Go(r.pool, func() sim.Result {
 		return r.execute(key, func(hooks *telemetry.Hooks) sim.Result {
-			return r.record(runSingle(r.P, spec, "", factory, mutate, hooks))
+			return r.record(runSingle(r.P, spec, factory, mutate, hooks))
 		})
 	})
 }
@@ -361,7 +360,7 @@ func (r *Runner) runSingleF(spec workload.Spec, factory pfFactory, mutate func(*
 func (r *Runner) mixF(mix workload.MixSpec, cfg namedPF) *Future[sim.Result] {
 	key := cellKey("mix", mixBench(mix), cfg.name, len(mix.Specs))
 	return r.cellF(key, func(hooks *telemetry.Hooks) sim.Result {
-		return runMix(r.P, mix, cfg.name, cfg.f, hooks)
+		return runMix(r.P, mix, cfg.f, hooks)
 	})
 }
 
@@ -369,7 +368,7 @@ func (r *Runner) mixF(mix workload.MixSpec, cfg namedPF) *Future[sim.Result] {
 func (r *Runner) rateF(spec workload.Spec, cores int, cfg namedPF) *Future[sim.Result] {
 	key := cellKey("rate", spec.Name, cfg.name, cores)
 	return r.cellF(key, func(hooks *telemetry.Hooks) sim.Result {
-		return runRate(r.P, spec, cores, cfg.name, cfg.f, hooks)
+		return runRate(r.P, spec, cores, cfg.f, hooks)
 	})
 }
 

@@ -124,6 +124,10 @@ func pfTriageDyn(m config.Machine) prefetch.Prefetcher {
 	return core.New(core.Config{Mode: core.Dynamic, LLCLatencyTicks: llcTicks(m)})
 }
 
+func pfTriageDynUtil(m config.Machine) prefetch.Prefetcher {
+	return core.New(core.Config{Mode: core.DynamicUtility, LLCLatencyTicks: llcTicks(m)})
+}
+
 func pfTriageUnlimited(m config.Machine) prefetch.Prefetcher {
 	return core.New(core.Config{Mode: core.Unlimited, LLCLatencyTicks: llcTicks(m)})
 }
@@ -139,20 +143,10 @@ func pfHybrid(a, b pfFactory) pfFactory {
 // composition, prefetcher configuration name and core count. The
 // Runner's Params fix the windows and seed, so these four are the
 // whole identity. pfName must uniquely identify the prefetcher
-// configuration within the process (namedPF names satisfy this — see
+// configuration within the Runner (namedPF names satisfy this — see
 // namedPF).
 func cellKey(kind, bench, pfName string, cores int) string {
 	return fmt.Sprintf("%s/%s/%s/x%d", kind, bench, pfName, cores)
-}
-
-// warmKey names a run's complete warm prefix for the simulator's
-// process-wide snapshot cache, which outlives any one Runner: the cell
-// identity plus the warmup window and seed. The simulator
-// independently re-checks the machine-shape half of the key
-// (sim.Options.WarmKey), so a collision degrades to a cold warmup
-// only when it is safe to reuse and to a refused restore otherwise.
-func warmKey(kind, bench, pfName string, cores int, warm, seed uint64) string {
-	return fmt.Sprintf("%s/w%d/s%d", cellKey(kind, bench, pfName, cores), warm, seed)
 }
 
 // mixBench spells out a mix's benchmark composition, core by core.
@@ -165,10 +159,9 @@ func mixBench(mix workload.MixSpec) string {
 }
 
 // runSingle simulates one benchmark on a single-core Table 1 machine.
-// pfName, when non-empty, enables warm-state snapshot reuse for this
-// cell (mutated machines pass "" — their warm prefix has no stable
-// name).
-func runSingle(p Params, spec workload.Spec, pfName string, factory pfFactory, mutate func(*sim.Options), tel *telemetry.Hooks) sim.Result {
+// mutate, when non-nil, edits the options before the workload and the
+// prefetcher are rebuilt against the mutated machine.
+func runSingle(p Params, spec workload.Spec, factory pfFactory, mutate func(*sim.Options), tel *telemetry.Hooks) sim.Result {
 	m := config.Default(1)
 	opts := sim.Options{
 		Machine:             m,
@@ -179,12 +172,8 @@ func runSingle(p Params, spec workload.Spec, pfName string, factory pfFactory, m
 		Telemetry:           tel,
 		CheckEvery:          p.CheckEvery,
 	}
-	if pfName != "" {
-		opts.WarmKey = warmKey("fig", spec.Name, pfName, 1, p.Warmup, p.Seed)
-	}
 	if mutate != nil {
 		mutate(&opts)
-		opts.WarmKey = ""
 		opts.Workloads = []trace.Reader{spec.New(p.Seed, 0)}
 		opts.Prefetchers = []prefetch.Prefetcher{factory(opts.Machine)}
 	}
@@ -196,12 +185,8 @@ func runSingle(p Params, spec workload.Spec, pfName string, factory pfFactory, m
 }
 
 // runMix simulates a multi-programmed mix on an N-core machine, one
-// benchmark and one prefetcher instance per core. pfName enables
-// warm-state reuse as in runSingle. Mix display names are NOT unique
-// across figures (every mix figure numbers its mixes "mix1"..), so
-// the warm key spells out the benchmark composition: two cells share
-// a key only when they run the same programs on the same cores.
-func runMix(p Params, mix workload.MixSpec, pfName string, factory pfFactory, tel *telemetry.Hooks) sim.Result {
+// benchmark and one prefetcher instance per core.
+func runMix(p Params, mix workload.MixSpec, factory pfFactory, tel *telemetry.Hooks) sim.Result {
 	cores := len(mix.Specs)
 	m := config.Default(cores)
 	ws := make([]trace.Reader, cores)
@@ -219,9 +204,6 @@ func runMix(p Params, mix workload.MixSpec, pfName string, factory pfFactory, te
 		Telemetry:           tel,
 		CheckEvery:          p.CheckEvery,
 	}
-	if pfName != "" {
-		opts.WarmKey = warmKey("mix", mixBench(mix), pfName, cores, p.MultiWarmup, p.Seed)
-	}
 	machine, err := sim.New(opts)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s: %v", mix.Name, err))
@@ -230,8 +212,8 @@ func runMix(p Params, mix workload.MixSpec, pfName string, factory pfFactory, te
 }
 
 // runRate simulates N copies of one benchmark on an N-core machine
-// (the CloudSuite server setup). pfName enables warm-state reuse.
-func runRate(p Params, spec workload.Spec, cores int, pfName string, factory pfFactory, tel *telemetry.Hooks) sim.Result {
+// (the CloudSuite server setup).
+func runRate(p Params, spec workload.Spec, cores int, factory pfFactory, tel *telemetry.Hooks) sim.Result {
 	m := config.Default(cores)
 	ws := make([]trace.Reader, cores)
 	pfs := make([]prefetch.Prefetcher, cores)
@@ -247,9 +229,6 @@ func runRate(p Params, spec workload.Spec, cores int, pfName string, factory pfF
 		MeasureInstructions: p.MultiMeasure,
 		Telemetry:           tel,
 		CheckEvery:          p.CheckEvery,
-	}
-	if pfName != "" {
-		opts.WarmKey = warmKey("rate", spec.Name, pfName, cores, p.MultiWarmup, p.Seed)
 	}
 	machine, err := sim.New(opts)
 	if err != nil {

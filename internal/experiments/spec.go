@@ -8,19 +8,13 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/prefetch"
-	"repro/internal/prefetch/bo"
-	"repro/internal/prefetch/domino"
 	"repro/internal/prefetch/ghb"
 	"repro/internal/prefetch/hybrid"
 	"repro/internal/prefetch/isb"
 	"repro/internal/prefetch/markov"
-	"repro/internal/prefetch/misb"
 	"repro/internal/prefetch/nextline"
-	"repro/internal/prefetch/sms"
-	"repro/internal/prefetch/stms"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -151,7 +145,7 @@ func (s RunSpec) Validate() error {
 			return fmt.Errorf("unknown benchmark %q", s.Bench)
 		}
 	}
-	if _, err := BuildPrefetcher(s.PF, config.Default(1), 1); err != nil {
+	if _, err := parsePrefetcher(s.PF); err != nil {
 		return err
 	}
 	if s.Measure == 0 {
@@ -199,7 +193,6 @@ func (s RunSpec) Run(hooks *telemetry.Hooks) (sim.Result, error) {
 		return sim.Result{}, err
 	}
 	var spec workload.Spec
-	warmBench := s.Bench
 	if s.Trace != "" {
 		id, err := resolveTrace(s.Trace)
 		if err != nil {
@@ -207,15 +200,9 @@ func (s RunSpec) Run(hooks *telemetry.Hooks) (sim.Result, error) {
 		}
 		// Replay: every core streams the trace from disk in a loop.
 		// Core 0 replays raw addresses; higher cores offset by c<<40 for
-		// the disjoint address spaces rate mode assumes. The content
-		// hash — not the display label — names the warm prefix.
+		// the disjoint address spaces rate mode assumes.
 		spec = workload.Replay(s.Bench, TraceCorpus(), id, workload.Server)
-		warmBench = id
-	} else if len(s.Mix) > 0 {
-		// The composition — canonical ids and names, '+'-joined — names
-		// the warm prefix, mirroring how figure mixes key snapshots.
-		warmBench = strings.Join(s.Mix, "+")
-	} else {
+	} else if len(s.Mix) == 0 {
 		spec, _ = workload.ByName(s.Bench)
 	}
 	m := config.Default(s.Cores)
@@ -256,10 +243,6 @@ func (s RunSpec) Run(hooks *telemetry.Hooks) (sim.Result, error) {
 		}
 		pfs[c] = p
 	}
-	// BuildPrefetcher resolves PF names canonically process-wide, and
-	// Degree parameterizes the build, so bench+pf+degree+cores+warmup+
-	// seed pins the complete warm prefix for snapshot reuse (the trace
-	// content hash stands in for bench on replays).
 	machine, err := sim.New(sim.Options{
 		Machine:             m,
 		Workloads:           ws,
@@ -268,8 +251,6 @@ func (s RunSpec) Run(hooks *telemetry.Hooks) (sim.Result, error) {
 		MeasureInstructions: s.Measure,
 		Telemetry:           hooks,
 		CheckEvery:          s.CheckEvery,
-		WarmKey: warmKey("spec", warmBench, fmt.Sprintf("%s/d%d", s.PF, s.Degree),
-			s.Cores, s.Warmup, s.Seed),
 	})
 	if err != nil {
 		return sim.Result{}, err
@@ -277,74 +258,77 @@ func (s RunSpec) Run(hooks *telemetry.Hooks) (sim.Result, error) {
 	return machine.Run(), nil
 }
 
-// BuildPrefetcher constructs the named prefetcher configuration for one
-// core of machine m: none, stride-only, nextline, ghb, markov, bo, sms,
-// stms, domino, isb, misb, triage-512k, triage-1m, triage-dyn,
-// triage-dynutil, triage-unlimited, or a '+'-joined hybrid such as
-// triage+bo ("triage" in a hybrid means triage-dyn). Every caller that
-// names prefetchers on a command line or over the wire resolves them
-// here, so the names cannot drift between tools.
+// prefetcherTable maps every prefetcher configuration name to its
+// constructor for one core. The no-L2-prefetcher names map to nil:
+// they build nothing, so they cannot be a hybrid's component. Every
+// caller that names prefetchers on a command line or over the wire
+// resolves them here (BuildPrefetcher, RunSpec.Validate), so the names
+// cannot drift between tools.
+var prefetcherTable = map[string]pfFactory{
+	"none":             nil,
+	"stride-only":      nil,
+	"bo":               pfBO,
+	"sms":              pfSMS,
+	"stms":             pfSTMS,
+	"domino":           pfDomino,
+	"misb":             pfMISB,
+	"isb":              func(config.Machine) prefetch.Prefetcher { return isb.New() },
+	"markov":           func(config.Machine) prefetch.Prefetcher { return markov.New(1 << 20) },
+	"ghb":              func(config.Machine) prefetch.Prefetcher { return ghb.New(512) },
+	"nextline":         func(config.Machine) prefetch.Prefetcher { return nextline.New(1) },
+	"triage-512k":      pfTriageStatic(512 << 10),
+	"triage-1m":        pfTriageStatic(1 << 20),
+	"triage-dyn":       pfTriageDyn,
+	"triage-dynutil":   pfTriageDynUtil,
+	"triage-unlimited": pfTriageUnlimited,
+}
+
+// parsePrefetcher resolves a configuration name to its constructor
+// without constructing anything: a prefetcherTable name (nil for the
+// no-prefetcher names), or a '+'-joined hybrid of composable names in
+// which "triage" means triage-dyn.
+func parsePrefetcher(name string) (pfFactory, error) {
+	if !strings.Contains(name, "+") {
+		f, ok := prefetcherTable[name]
+		if !ok {
+			return nil, fmt.Errorf("unknown prefetcher %q", name)
+		}
+		return f, nil
+	}
+	var parts []pfFactory
+	for _, part := range strings.Split(name, "+") {
+		if part == "triage" {
+			part = "triage-dyn"
+		}
+		f, ok := prefetcherTable[part]
+		if !ok {
+			return nil, fmt.Errorf("unknown prefetcher %q", part)
+		}
+		if f == nil {
+			return nil, fmt.Errorf("cannot compose %q", part)
+		}
+		parts = append(parts, f)
+	}
+	return func(m config.Machine) prefetch.Prefetcher {
+		ps := make([]prefetch.Prefetcher, len(parts))
+		for i, f := range parts {
+			ps[i] = f(m)
+		}
+		return hybrid.New(ps...)
+	}, nil
+}
+
+// BuildPrefetcher constructs the named prefetcher configuration (see
+// parsePrefetcher) for one core of machine m; the no-prefetcher names
+// return nil. A degree above one is applied to a single prefetcher that
+// supports it; hybrid components keep their own degree.
 func BuildPrefetcher(name string, m config.Machine, degree int) (prefetch.Prefetcher, error) {
-	ticks := llcTicks(m)
-	mk := func(n string) (prefetch.Prefetcher, error) {
-		switch n {
-		case "none", "stride-only":
-			return nil, nil
-		case "bo":
-			return bo.New(), nil
-		case "sms":
-			return sms.New(), nil
-		case "stms":
-			return stms.New(), nil
-		case "domino":
-			return domino.New(), nil
-		case "misb":
-			return misb.New(), nil
-		case "isb":
-			return isb.New(), nil
-		case "markov":
-			return markov.New(1 << 20), nil
-		case "ghb":
-			return ghb.New(512), nil
-		case "nextline":
-			return nextline.New(1), nil
-		case "triage-512k":
-			return core.New(core.Config{Mode: core.Static, StaticBytes: 512 << 10, LLCLatencyTicks: ticks}), nil
-		case "triage-1m":
-			return core.New(core.Config{Mode: core.Static, StaticBytes: 1 << 20, LLCLatencyTicks: ticks}), nil
-		case "triage-dyn":
-			return core.New(core.Config{Mode: core.Dynamic, LLCLatencyTicks: ticks}), nil
-		case "triage-dynutil":
-			return core.New(core.Config{Mode: core.DynamicUtility, LLCLatencyTicks: ticks}), nil
-		case "triage-unlimited":
-			return core.New(core.Config{Mode: core.Unlimited, LLCLatencyTicks: ticks}), nil
-		default:
-			return nil, fmt.Errorf("unknown prefetcher %q", n)
-		}
-	}
-	if strings.Contains(name, "+") {
-		parts := strings.Split(name, "+")
-		var ps []prefetch.Prefetcher
-		for _, part := range parts {
-			if part == "triage" {
-				part = "triage-dyn"
-			}
-			p, err := mk(part)
-			if err != nil {
-				return nil, err
-			}
-			if p == nil {
-				return nil, fmt.Errorf("cannot compose %q", part)
-			}
-			ps = append(ps, p)
-		}
-		return hybrid.New(ps...), nil
-	}
-	p, err := mk(name)
-	if err != nil {
+	f, err := parsePrefetcher(name)
+	if err != nil || f == nil {
 		return nil, err
 	}
-	if p != nil && degree > 1 {
+	p := f(m)
+	if _, isHybrid := p.(*hybrid.Prefetcher); !isHybrid && degree > 1 {
 		if ds, ok := p.(prefetch.DegreeSetter); ok {
 			ds.SetDegree(degree)
 		}

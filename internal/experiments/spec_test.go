@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/config"
@@ -108,6 +110,60 @@ func TestRunSpecValidate(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("spec %+v validated", bad)
 		}
+	}
+}
+
+// TestValidateMatchesBuild pins that Validate and BuildPrefetcher read
+// one prefetcher table: over every table name, hybrids (the "triage"
+// alias included) and unknown or non-composable names, Validate fails
+// exactly when BuildPrefetcher does, with the same message.
+func TestValidateMatchesBuild(t *testing.T) {
+	names := []string{"triage+bo", "bo+sms", "triage-1m+bo", "bo+triage+sms",
+		"triage", "foo", "bo+foo", "none+bo", "bo+stride-only", "bo+", "+"}
+	for n := range prefetcherTable {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	m := config.Default(1)
+	for _, n := range names {
+		_, buildErr := BuildPrefetcher(n, m, 1)
+		spec := RunSpec{Bench: "mcf", PF: n, Measure: 1}
+		spec.Normalize()
+		valErr := spec.Validate()
+		if (buildErr == nil) != (valErr == nil) || (buildErr != nil && buildErr.Error() != valErr.Error()) {
+			t.Errorf("%q: BuildPrefetcher error %v, Validate error %v", n, buildErr, valErr)
+		}
+	}
+	for _, bad := range []string{"foo", "bo+foo", "none+bo", "triage"} {
+		if _, err := BuildPrefetcher(bad, m, 1); err == nil {
+			t.Errorf("%q: accepted", bad)
+		}
+	}
+}
+
+// TestValidateBuildsNothing bounds Validate's allocation: checking a
+// Triage spec must look the name up, not construct a prefetcher (and
+// its multi-megabyte metadata store) only to throw it away.
+func TestValidateBuildsNothing(t *testing.T) {
+	spec := RunSpec{Bench: "mcf", PF: "triage-1m", Measure: 1}
+	spec.Normalize()
+	const calls = 100
+	perCall := uint64(1 << 62)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if err := spec.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / calls; b < perCall {
+			perCall = b
+		}
+	}
+	if perCall >= 64<<10 {
+		t.Errorf("Validate allocates %d bytes per call, want under 64 KiB", perCall)
 	}
 }
 

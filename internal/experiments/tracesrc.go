@@ -8,10 +8,10 @@ import (
 )
 
 // The process-wide trace corpus, resolving RunSpec.Trace ids to
-// materialized TRC2 traces. Like sim.GlobalWarmCache it is configured
-// once at process start (triagesim/triaged -corpus) and read by every
-// run; a RunSpec naming a trace without a corpus configured fails
-// validation, loudly, before any simulation starts.
+// materialized TRC2 traces. It is configured once at process start
+// (triagesim/triaged -corpus) and read by every run; a RunSpec naming
+// a trace without a corpus configured fails validation, loudly, before
+// any simulation starts.
 var (
 	traceCorpusMu sync.RWMutex
 	traceCorpus   *trace.Corpus

@@ -160,7 +160,7 @@ func TestAllPoliciesVictimInRange(t *testing.T) {
 
 // TestLRUKeepsNoPerWayState pins where LRU recency lives: in the
 // cache's per-set block, beside the tags. A stamp array here would
-// duplicate it, and every warm snapshot would deep-copy both.
+// duplicate it and cost a second host cache miss per access.
 func TestLRUKeepsNoPerWayState(t *testing.T) {
 	if n := reflect.TypeOf(LRU{}).NumField(); n != 0 {
 		t.Errorf("LRU has %d fields, want 0 (recency belongs to the cache)", n)

@@ -70,9 +70,9 @@ type hierarchy struct {
 	l2pf []prefetch.Prefetcher // per-core L2 prefetcher (may be nil)
 
 	// Devirtualized per-core prefetcher hooks, resolved once in
-	// newHierarchy (and again after a warm-state restore): the Train
-	// entry point as a bound function value and the optional observer
-	// interfaces. The hot path never repeats the type assertions.
+	// newHierarchy: the Train entry point as a bound function value and
+	// the optional observer interfaces. The hot path never repeats the
+	// type assertions.
 	l2train []func(prefetch.Event) []prefetch.Request
 	l2oo    []prefetch.OutcomeObserver
 	l2fo    []prefetch.FillObserver
@@ -191,10 +191,7 @@ func newHierarchy(cfg config.Machine, l2pf []prefetch.Prefetcher, llcPolicy stri
 }
 
 // resolveHooks builds the devirtualized dispatch tables from the
-// current per-core prefetcher set. It runs once at construction and
-// once after a warm-state restore replaces the prefetcher objects;
-// bound function values must be rebuilt then because they capture the
-// receiver they were resolved against.
+// per-core prefetcher set. It runs once, at construction.
 func (h *hierarchy) resolveHooks() {
 	cores := len(h.l2pf)
 	h.l2train = make([]func(prefetch.Event) []prefetch.Request, cores)

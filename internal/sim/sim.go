@@ -53,18 +53,6 @@ type Options struct {
 	// sink, and/or run watch to the run. Nil (or nil fields) disables
 	// each piece at the cost of one predictable branch per instruction.
 	Telemetry *telemetry.Hooks
-	// WarmKey, when non-empty, enables warm-state snapshot reuse: the
-	// post-warmup machine state is cached process-wide under this key,
-	// and a later run with the same key restores it instead of
-	// re-simulating warmup. The key MUST identify the complete warm
-	// prefix — machine configuration, workload construction (generator,
-	// seed, address base), prefetcher configuration, and warmup window;
-	// two runs with equal keys must warm up to identical state. The
-	// simulator independently verifies the machine-shape part of that
-	// contract (see warmSignature) and falls back to a cold warmup on
-	// any mismatch. Reuse is disabled automatically when an event trace
-	// is attached or CheckEvery is set (see warmEligible).
-	WarmKey string
 	// CheckEvery, when non-zero, asserts the structural invariants of
 	// every simulated component (caches, MSHR rings, DRAM tables, Triage
 	// metadata store, flat LRU chains) every CheckEvery stepped
@@ -109,7 +97,6 @@ type coreState struct {
 	loads        uint64
 	loadLatTicks uint64 // summed post-dependency load latencies
 	startTick    uint64 // measurement window start
-	consumed     uint64 // trace records drawn from reader, all phases
 	finished     bool
 	exhausted    bool
 
@@ -161,9 +148,9 @@ type Machine struct {
 	// invariant checking is off (same one-compare idle cost as sampling).
 	checkCountdown uint64
 
-	// Interface views of the prefetcher graph, resolved once in New
-	// (and again after a warm restore) so result collection and the
-	// sampler never repeat per-call type assertions.
+	// Interface views of the prefetcher graph, resolved once in New so
+	// result collection and the sampler never repeat per-call type
+	// assertions.
 	estimators   []estimator
 	metaCounters []metaCounter
 	lookupFns    [][]lookupCounter // per core
@@ -243,8 +230,6 @@ func New(opts Options) (*Machine, error) {
 // recursive per-call probes that previously ran at every sample point
 // and at result collection.
 func (m *Machine) resolveProbes() {
-	m.estimators = m.estimators[:0]
-	m.metaCounters = m.metaCounters[:0]
 	m.lookupFns = make([][]lookupCounter, len(m.hier.l2pf))
 	for c, p := range m.hier.l2pf {
 		c := c
@@ -271,25 +256,17 @@ func (m *Machine) Run() Result {
 	warm := m.opts.WarmupInstructions
 	measure := m.opts.MeasureInstructions
 
-	// Warmup phase: early finishers simply stop (no stats involved). A
-	// cached warm-state snapshot (same WarmKey) replaces the whole
-	// phase; a cold warmup under a WarmKey leaves a snapshot behind.
-	reuse := m.warmEligible()
-	if !(reuse && m.tryRestoreWarm()) {
-		if warm > 0 {
-			m.phase(warm, false)
-		}
-		m.hier.resetStats()
-		for _, cs := range m.cores {
-			cs.instructions = 0
-			cs.loads = 0
-			cs.loadLatTicks = 0
-			cs.startTick = cs.lastRetire
-			cs.finished = false
-		}
-		if reuse {
-			m.saveWarm()
-		}
+	// Warmup phase: early finishers simply stop (no stats involved).
+	if warm > 0 {
+		m.phase(warm, false)
+	}
+	m.hier.resetStats()
+	for _, cs := range m.cores {
+		cs.instructions = 0
+		cs.loads = 0
+		cs.loadLatTicks = 0
+		cs.startTick = cs.lastRetire
+		cs.finished = false
 	}
 
 	m.startSampling()
@@ -407,7 +384,6 @@ func (m *Machine) runBatch(c int, cs *coreState, target, budget uint64, tieOK bo
 		if !ok {
 			return batchExhausted
 		}
-		cs.consumed++
 		// Dispatch: one tick (quarter cycle) after the previous
 		// dispatch, gated by ROB availability.
 		d := cs.lastDispatch + 1

@@ -33,12 +33,10 @@ fresh=$(mktemp)
 trap 'rm -f "$fresh"' EXIT
 
 # Pull the run configuration out of the committed total row so the
-# fresh run measures the same thing. Handles both the legacy bare-array
-# schema and the current versioned one.
+# fresh run measures the same thing.
 read -r warmup measure mwarmup mmeasure workers < <(python3 - "$baseline" <<'PY'
 import json, sys
-d = json.load(open(sys.argv[1]))
-rows = d if isinstance(d, list) else d.get("experiments", [])
+rows = json.load(open(sys.argv[1])).get("experiments", [])
 total = next((r for r in rows if r.get("experiment") == "total"), None)
 if total is None:
     sys.exit("bench-compare: baseline has no 'total' row")
@@ -61,9 +59,7 @@ python3 - "$baseline" "$fresh" "$threshold" <<'PY'
 import json, sys
 
 def rows(path):
-    d = json.load(open(path))
-    lst = d if isinstance(d, list) else d.get("experiments", [])
-    return {r["experiment"]: r for r in lst}
+    return {r["experiment"]: r for r in json.load(open(path)).get("experiments", [])}
 
 base, fresh, threshold = rows(sys.argv[1]), rows(sys.argv[2]), float(sys.argv[3])
 failed = False

@@ -21,6 +21,9 @@ fi
 go build ./...
 go test ./...
 go vet ./...
+# The benchmark module (perfbench/, replace repro => ../) calls into this
+# module's packages; vet it so an API change it depends on fails here.
+(cd perfbench && go vet ./...)
 go test -race ./internal/experiments ./internal/sim
 go test -race ./internal/cache ./internal/replacement
 go test -race ./internal/service
